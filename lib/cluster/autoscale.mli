@@ -28,8 +28,10 @@
     - {b static} — sample and report, never rebalance (the bench
       baseline).
 
-    Every decision is a pure function of epoch reports that are
-    themselves deterministic and shard-independent, and all rebalance
+    Sampling only reads the live servers' offered counters, so a
+    {b static} controller leaves the report it observes untouched.
+    Every decision is a pure function of those counters, which are
+    deterministic and shard-independent, and all rebalance
     work runs at the barrier on the calling domain in machine-index
     order — so fleet reports stay byte-identical for any shard count
     while autoscaling, which CI asserts by diffing [--shards 1] against

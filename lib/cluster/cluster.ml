@@ -29,14 +29,10 @@ let churn ?(failover = true) ?(heartbeat = Time.ms 100.) ?(dead_after = 3)
   if dead_after < 1 then invalid_arg "Cluster.churn: dead_after must be >= 1";
   { plan; failover; heartbeat; dead_after }
 
-(* Force every lazily-built shared value (the per-kind application PALs)
-   on the calling domain before any shard domain can race to force it:
-   concurrent [Lazy.force] of the same suspension is unsafe under
-   OCaml 5. Under cost-aware admission the per-kind certificates are
-   forced too, so every image is analyzed here, once, rather than by
-   whichever shard domain first prices an arrival (the cache is
-   mutex-guarded either way; this keeps the work off the serving
-   domains entirely). *)
+(* Force every lazily-built shared value (the per-kind application PALs,
+   and under cost-aware admission their certificates) on the calling
+   domain: concurrent [Lazy.force] of one suspension is unsafe under
+   OCaml 5, and it keeps image analysis off the serving domains. *)
 let prewarm ~serve () =
   List.iter
     (fun k ->
@@ -112,7 +108,7 @@ let view_outages ~churn:c ~duration outages_per_machine =
 (* Cut [0, duration) at every instant a machine's availability, the
    router's belief about it, the autoscaler's control loop or a
    workload shape changes. Within one epoch all of them are constant,
-   so each machine's serve is again a self-contained, shardable run. *)
+   so the live servers can each be advanced through it independently. *)
 let epoch_bounds ?(extra = []) ~duration views =
   let add s t = if Time.compare t Time.zero > 0 && Time.compare t duration < 0 then t :: s else s in
   let instants =
@@ -134,33 +130,12 @@ let epoch_bounds ?(extra = []) ~duration views =
   in
   pair sorted
 
-(* Epoch cuts a tenant's traffic shape needs: a flash crowd's exact
-   step instants, plus a sampling grid for the continuous diurnal curve
-   (8 cuts per cycle, never finer than duration/64) so the sinusoid is
-   approximated by rate steps instead of collapsing to its value at
-   zero. *)
-let shape_cuts ~duration tenants =
-  List.concat_map
-    (fun (t : Workload.tenant) ->
-      match t.Workload.shape with
-      | Workload.Steady -> []
-      | Workload.Flash _ -> Workload.shape_instants t.Workload.shape
-      | Workload.Diurnal { period; _ } ->
-          let step =
-            Stdlib.max (Time.to_ns period / 8) (Time.to_ns duration / 64)
-          in
-          let step = Stdlib.max 1 step in
-          let rec go k acc =
-            let inst = k * step in
-            if inst >= Time.to_ns duration then acc
-            else go (k + 1) (Time.ns inst :: acc)
-          in
-          go 1 [])
-    tenants
-
 let run ?(seed = 1L) ?trace ?churn:churn_cfg ?autoscale:auto_cfg cfg
     ~machine_config ~serve tenants =
   if tenants = [] then invalid_arg "Cluster.run: no tenants";
+  let failover_on =
+    match churn_cfg with Some c -> c.failover | None -> false
+  in
   if Option.is_some serve.Server.retry then
     Error
       "cluster: leave the serve config's retry policy unset — retry \
@@ -171,18 +146,12 @@ let run ?(seed = 1L) ?trace ?churn:churn_cfg ?autoscale:auto_cfg cfg
        consistent-hash based"
   else if Option.is_some auto_cfg && cfg.machines < 2 then
     Error "cluster: --autoscale needs at least 2 machines"
+  else if failover_on && cfg.machines < 2 then
+    Error "cluster: --failover on needs at least 2 machines"
   else begin
     prewarm ~serve ();
     let n = cfg.machines in
-    let assignment =
-      Router.assign cfg.policy ~machines:n tenants
-    in
-    (* Per-machine tenant shares, preserving tenant list order. *)
-    let shares = Array.make n [] in
-    List.iteri
-      (fun ti t -> shares.(assignment.(ti)) <- t :: shares.(assignment.(ti)))
-      tenants;
-    let shares = Array.map List.rev shares in
+    let assignment = Router.assign cfg.policy ~machines:n tenants in
     (* Everything seed-derived is carved out up front, in index order,
        so machine [i]'s streams depend only on (master seed, i). *)
     let engine_seeds = Array.map Rng.int64 (Rng.split_n (Rng.create ~seed ()) n) in
@@ -213,33 +182,29 @@ let run ?(seed = 1L) ?trace ?churn:churn_cfg ?autoscale:auto_cfg cfg
              machine_config)
     done;
     let machines = Array.map Option.get machines in
-    (* Run machine [i]'s serve (with config [cfg_i] and tenant share
-       [share]) under its trace sink, storing into [results.(i)]. *)
-    let serve_into results i cfg_i share =
-      match share with
-      | [] -> () (* idle machine: the router sent it no tenants *)
-      | share ->
-          let go () =
-            match Server.run machines.(i) cfg_i share with
-            | r -> r
-            | exception e ->
-                Error ("unexpected exception: " ^ Printexc.to_string e)
-          in
-          let r =
-            match trace with
-            | None -> go ()
-            | Some sink_for -> Sea_trace.Trace.with_sink (sink_for i) go
-          in
-          results.(i) <- Some r
+    let under_sink m f =
+      match trace with
+      | None -> f ()
+      | Some sink_for -> Sea_trace.Trace.with_sink (sink_for m) f
     in
-    let shard_over results cfgs epoch_shares =
+    (* [errors.(i)] is machine [i]'s first failure; a failed machine
+       does no further work. *)
+    let errors = Array.make n None in
+    let shard_over f =
       let shard s =
         (* Machine i runs on shard (i mod shards); within a shard,
-           machines run in increasing index order. Each machine is
-           self-contained, so the partition affects wall-clock only. *)
+           machines run in increasing index order. Each machine touches
+           only its own state, so the partition affects wall-clock
+           only. *)
         let i = ref s in
         while !i < n do
-          serve_into results !i cfgs.(!i) epoch_shares.(!i);
+          (if errors.(!i) = None then
+             match under_sink !i (fun () -> f !i) with
+             | Ok () -> ()
+             | Error e -> errors.(!i) <- Some e
+             | exception e ->
+                 errors.(!i) <-
+                   Some ("unexpected exception: " ^ Printexc.to_string e));
           i := !i + cfg.shards
         done
       in
@@ -253,493 +218,414 @@ let run ?(seed = 1L) ?trace ?churn:churn_cfg ?autoscale:auto_cfg cfg
         List.iter Domain.join domains
       end
     in
-    let shaped =
-      List.exists
-        (fun (t : Workload.tenant) -> t.Workload.shape <> Workload.Steady)
+    let duration = serve.Server.duration in
+    let tenant_arr = Array.of_list tenants in
+    let nt = Array.length tenant_arr in
+    let name ti = tenant_arr.(ti).Workload.name in
+    (* The whole fleet's outage schedule, detection instants and epoch
+       cuts are precomputed from the plan's seed, the autoscale interval
+       and the workload shapes alone — independent of workload
+       execution and of the shard count. Without churn, autoscale or
+       shapes the window is one epoch. *)
+    let outages, views =
+      match churn_cfg with
+      | None -> (Array.make n [], [])
+      | Some c ->
+          let o = Machine_fault.plans c.plan ~duration ~machines:n in
+          (o, view_outages ~churn:c ~duration o)
+    in
+    let ticks =
+      match auto_cfg with
+      | None -> []
+      | Some a -> Autoscale.tick_instants a ~duration
+    in
+    let shape_instants =
+      List.concat_map
+        (fun (t : Workload.tenant) ->
+          Workload.shape_instants ~duration t.Workload.shape)
         tenants
     in
-    if churn_cfg = None && auto_cfg = None && not shaped then (
-      (* Steady, churn-free, static: one serving window per machine,
-         exactly the historical path (and the historical render, byte
-         for byte). *)
-      let results :
-          (Sea_serve.Report.t, string) result option array =
-        Array.make n None
+    let epochs =
+      epoch_bounds ~extra:(ticks @ shape_instants) ~duration views
+    in
+    (* Each tenant's rate during an epoch is its shape sampled at the
+       last shape cut, never at a controller or churn cut, so the
+       arrival process does not depend on those. *)
+    let rates_at a =
+      let at =
+        List.fold_left
+          (fun acc c -> if Time.compare c a <= 0 then Time.max acc c else acc)
+          Time.zero shape_instants
       in
-      let cfgs =
-        Array.map (fun spec -> { serve with Server.faults = spec }) fault_specs
+      Array.map (Workload.at_time at) tenant_arr
+    in
+    (* One live server per machine for the whole window. An idle one
+       (the router sent it no tenants) serves only tenants routed to it
+       later. *)
+    let servers = Array.make n None in
+    let rates0 = Array.to_list (rates_at Time.zero) in
+    shard_over (fun i ->
+        Server.create machines.(i)
+          { serve with Server.faults = fault_specs.(i) }
+          (List.filteri (fun ti _ -> assignment.(ti) = i) rates0)
+        |> Result.map (fun s -> servers.(i) <- Some s));
+    (* Every server exists once the epochs run: they run only while no
+       machine has failed. *)
+    let server i = Option.get servers.(i) in
+    (* Streams for the churn layer's own draws (durable-blob survival)
+       and the shared migration link, carved off the plan seed under a
+       distinct label so they perturb neither the outage walk nor any
+       engine stream. An autoscale-only run still needs the link
+       (sealed-state rebalancing crosses it); it is lossless then,
+       seeded off the master seed. *)
+    let churn_rng =
+      match churn_cfg with
+      | Some c ->
+          Rng.create
+            ~seed:(Int64.add (Int64.of_int c.plan.Machine_fault.seed)
+                     0x6368_75726eL)
+            ()
+      | None -> Rng.create ~seed:(Int64.add seed 0x6175_746fL) ()
+    in
+    let link =
+      let loss =
+        match churn_cfg with
+        | Some c -> c.plan.Machine_fault.link_loss
+        | None -> 0.
       in
-      shard_over results cfgs shares;
-      (* Collect in machine order; the first failure wins. *)
-      let rec collect i acc =
-        if i = n then Ok (List.rev acc)
-        else
-          match results.(i) with
-          | None ->
-              collect (i + 1)
-                ({ Fleet_report.index = i; tenants = 0; report = None;
-                   lost = 0 }
-                :: acc)
-          | Some (Ok r) ->
-              collect (i + 1)
-                ({
-                   Fleet_report.index = i;
-                   tenants = List.length shares.(i);
-                   report = Some r;
-                   lost = 0;
-                 }
-                :: acc)
-          | Some (Error e) -> Error (Printf.sprintf "machine %d: %s" i e)
-      in
-      match collect 0 [] with
-      | Error e -> Error e
-      | Ok rows ->
-          Ok (Fleet_report.merge ~policy:(Router.policy_name cfg.policy) rows))
-    else
-      let failover_on =
-        match churn_cfg with Some c -> c.failover | None -> false
-      in
-      if failover_on && n < 2 then
-        Error "cluster: --failover on needs at least 2 machines"
-      else begin
-        let duration = serve.Server.duration in
-        let tenant_arr = Array.of_list tenants in
-        let nt = Array.length tenant_arr in
-        (* The whole fleet's outage schedule, detection instants and
-           epoch cuts are precomputed from the plan's seed, the
-           autoscale interval and the workload shapes alone —
-           independent of workload execution and of the shard count. *)
-        let outages, views =
-          match churn_cfg with
-          | None -> (Array.make n [], [])
-          | Some c ->
-              let o = Machine_fault.plans c.plan ~duration ~machines:n in
-              (o, view_outages ~churn:c ~duration o)
-        in
-        let ticks =
-          match auto_cfg with
-          | None -> []
-          | Some a -> Autoscale.tick_instants a ~duration
-        in
-        let tick_ns = List.map Time.to_ns ticks in
-        let epochs =
-          epoch_bounds ~extra:(ticks @ shape_cuts ~duration tenants)
-            ~duration views
-        in
-        (* Streams for the churn layer's own draws (durable-blob
-           survival) and the shared migration link, carved off the plan
-           seed under a distinct label so they perturb neither the
-           outage walk nor any engine stream. An autoscale-only run
-           still needs the link (sealed-state rebalancing crosses it);
-           it is lossless then, seeded off the master seed. *)
-        let churn_rng =
-          match churn_cfg with
-          | Some c ->
-              Rng.create
-                ~seed:(Int64.add (Int64.of_int c.plan.Machine_fault.seed)
-                         0x6368_75726eL)
-                ()
-          | None -> Rng.create ~seed:(Int64.add seed 0x6175_746fL) ()
-        in
-        let link =
-          let loss =
-            match churn_cfg with
-            | Some c -> c.plan.Machine_fault.link_loss
-            | None -> 0.
+      Link.create ~loss (Rng.split churn_rng)
+    in
+    let lost = Array.make n 0 in
+    let served = Array.make n false in
+    let base_prev = Array.copy assignment in
+    let host_prev = Array.copy assignment in
+    let failovers = ref 0 and migrations = ref 0 in
+    let cold_restarts = ref 0 and torn = ref 0 in
+    let link_retries = ref 0 and recovered = ref 0 in
+    (* Autoscaler state: ring weights, each machine's offered count at
+       the last control tick, and the stats counters. All of it lives on
+       this domain and changes only at epoch barriers. *)
+    let weights = Array.make n Router.virtual_points in
+    let offered_at_tick = Array.make n 0 in
+    let last_tick = ref Time.zero in
+    let as_ticks = ref 0 and as_hot = ref 0 and as_resizes = ref 0 in
+    let as_moved = ref 0 and as_warm = ref 0 in
+    let as_cold = ref 0 and as_respawns = ref 0 in
+    let reroute_active at v =
+      match v.ov_detect with
+      | Some d -> Time.compare d at <= 0 && Time.compare at v.ov_heal < 0
+      | None -> false
+    in
+    (* A resident that follows its tenant joins the target's server. *)
+    let migrate ~src ~dst ~source_alive ~blob_available ti kind =
+      under_sink dst (fun () ->
+          let r =
+            Migrate.failover ~source:machines.(src) ~target:machines.(dst)
+              ~link ~source_alive ~blob_available
+              ~preemption_timer:serve.Server.preemption_timer
+              ~tenant:(name ti) ~kind_name:(Workload.kind_name kind)
+              (Workload.resident_pal kind) ()
           in
-          Link.create ~loss (Rng.split churn_rng)
-        in
-        let epoch_reports = Array.make n [] in
-        let lost = Array.make n 0 in
-        let base_prev = Array.copy assignment in
-        let host_prev = Array.copy assignment in
-        let failovers = ref 0 and migrations = ref 0 in
-        let cold_restarts = ref 0 and torn = ref 0 in
-        let link_retries = ref 0 and recovered = ref 0 in
-        (* Autoscaler state: ring weights, offered counts accumulated
-           since the last control tick, and the stats counters. All of
-           it lives on this domain and changes only at epoch barriers. *)
-        let weights = Array.make n Router.virtual_points in
-        let offered_since = Array.make n 0 in
-        let last_tick = ref Time.zero in
-        let as_ticks = ref 0 and as_hot = ref 0 and as_resizes = ref 0 in
-        let as_moved = ref 0 and as_warm = ref 0 in
-        let as_cold = ref 0 and as_respawns = ref 0 in
-        let first_err = ref None in
-        let reroute_active at v =
-          match v.ov_detect with
-          | Some d ->
-              Time.compare d at <= 0 && Time.compare at v.ov_heal < 0
-          | None -> false
-        in
-        List.iter
-          (fun (a, b) ->
-            if !first_err = None then begin
-              let down m = Machine_fault.down_at outages.(m) a in
-              let dead m =
-                failover_on
-                && List.exists
-                     (fun v -> v.ov_machine = m && reroute_active a v)
-                     views
+          Result.iter
+            (fun r ->
+              Server.adopt (server dst) ~tenant:(name ti) kind
+                (Sea_core.Backend.slaunch_instance machines.(dst)
+                   r.Migrate.target))
+            r;
+          r)
+    in
+    List.iter
+      (fun (a, b) ->
+        if Array.for_all Option.is_none errors then begin
+          let down m = Machine_fault.down_at outages.(m) a in
+          let dead m =
+            failover_on
+            && List.exists
+                 (fun v -> v.ov_machine = m && reroute_active a v)
+                 views
+          in
+          let alive =
+            List.filter (fun m -> not (dead m)) (List.init n Fun.id)
+          in
+          (* Autoscale control tick: sample each machine's measured load
+             since the last tick, detect hot spots against the fleet
+             mean and resize the ring weights. Runs before placement, so
+             this epoch routes on the new ring. Sampling only reads the
+             servers' counters. *)
+          (match auto_cfg with
+          | Some acfg when List.mem a ticks ->
+              incr as_ticks;
+              let dt = Time.to_s (Time.sub a !last_tick) in
+              let alive_arr =
+                Array.init n (fun m -> not (dead m) && not (down m))
               in
-              let alive =
-                List.filter (fun m -> not (dead m)) (List.init n Fun.id)
+              let loads =
+                Array.init n (fun m ->
+                    if dt <= 0. then 0.
+                    else
+                      float_of_int
+                        (Server.offered (server m) - offered_at_tick.(m))
+                      /. dt)
               in
-              (* Autoscale control tick: sample each machine's measured
-                 load since the last tick, detect hot spots against the
-                 fleet mean and resize the ring weights. Runs before
-                 placement, so this epoch routes on the new ring. *)
-              (match auto_cfg with
-              | Some acfg when List.mem (Time.to_ns a) tick_ns ->
-                  incr as_ticks;
-                  let dt = Time.to_s (Time.sub a !last_tick) in
-                  let alive_arr =
-                    Array.init n (fun m -> not (dead m) && not (down m))
-                  in
-                  let loads =
-                    Array.init n (fun m ->
-                        if dt <= 0. then 0.
-                        else float_of_int offered_since.(m) /. dt)
-                  in
-                  let d = Autoscale.decide acfg ~weights ~alive:alive_arr ~loads in
-                  as_hot := !as_hot + List.length d.Autoscale.hot;
-                  (* Static = sample and detect only: the observability
-                     baseline never touches the ring, so its placement
-                     (and its capacity) is exactly the no-controller
-                     fleet's. *)
-                  if acfg.Autoscale.policy <> Autoscale.Static then begin
-                    for m = 0 to n - 1 do
-                      if d.Autoscale.weights.(m) <> weights.(m) then
-                        incr as_resizes
-                    done;
-                    Array.blit d.Autoscale.weights 0 weights 0 n
-                  end;
-                  Array.fill offered_since 0 n 0;
-                  last_tick := a
-              | _ -> ());
-              (* Routing for this epoch. [base] is the autoscaler's
-                 weighted-ring placement over all machines (the static
-                 assignment without a controller); [host] overlays
-                 failover — a detected-dead machine's tenants ride the
-                 ring minus the dead nodes; everyone else stays home. *)
-              let base =
-                match auto_cfg with
-                | None -> assignment
-                | Some _ ->
-                    let ring =
-                      Router.make_ring ~weights (List.init n Fun.id)
+              let d = Autoscale.decide acfg ~weights ~alive:alive_arr ~loads in
+              as_hot := !as_hot + List.length d.Autoscale.hot;
+              (* Static = sample and detect only: the observability
+                 baseline never touches the ring, so its placement (and
+                 its capacity) is exactly the no-controller fleet's. *)
+              if acfg.Autoscale.policy <> Autoscale.Static then begin
+                for m = 0 to n - 1 do
+                  if d.Autoscale.weights.(m) <> weights.(m) then
+                    incr as_resizes
+                done;
+                Array.blit d.Autoscale.weights 0 weights 0 n
+              end;
+              for m = 0 to n - 1 do
+                offered_at_tick.(m) <- Server.offered (server m)
+              done;
+              last_tick := a
+          | _ -> ());
+          (* Routing for this epoch. [base] is the autoscaler's
+             weighted-ring placement over all machines (the static
+             assignment without a controller); [host] overlays failover
+             — a detected-dead machine's tenants ride the ring minus the
+             dead nodes; everyone else stays home. *)
+          let base =
+            match auto_cfg with
+            | None -> assignment
+            | Some _ ->
+                let ring = Router.make_ring ~weights (List.init n Fun.id) in
+                Array.init nt (fun ti -> Router.lookup ring tenant_arr.(ti))
+          in
+          let host =
+            Array.init nt (fun ti ->
+                let home = base.(ti) in
+                if dead home && alive <> [] then
+                  Router.reroute
+                    ?weights:(Option.map (fun _ -> weights) auto_cfg)
+                    ~alive tenant_arr.(ti)
+                else home)
+          in
+          (* Barrier work, main domain, machine-index order: heartbeat
+             suspicion and crashes for outages starting here, the
+             tenant hand-offs routing implies, sealed-state failover for
+             machines declared dead here, then autoscale rebalancing for
+             tenants whose arc moved. Trace events land in the affected
+             machine's own sink. *)
+          List.iter
+            (fun v ->
+              if Time.compare v.ov_start a = 0 then
+                under_sink v.ov_machine (fun () ->
+                    let engine =
+                      Sea_hw.Machine.engine machines.(v.ov_machine)
                     in
-                    Array.init nt (fun ti ->
-                        Router.lookup ring tenant_arr.(ti))
+                    for j = 1 to v.ov_misses do
+                      Sea_trace.Trace.instant engine ~cat:"churn"
+                        ~args:(fun () ->
+                          Sea_trace.Trace.
+                            [ ("machine", Int v.ov_machine); ("miss", Int j);
+                              ("outage", Str (Machine_fault.kind_name v.ov_kind)) ])
+                        "heartbeat-miss"
+                    done;
+                    if v.ov_kind = Machine_fault.Crash then
+                      Server.crash (server v.ov_machine)))
+            views;
+          let rates = rates_at a in
+          for ti = 0 to nt - 1 do
+            let h = host_prev.(ti) in
+            if host.(ti) <> h then
+              under_sink h (fun () -> Server.unhost (server h) (name ti))
+          done;
+          for ti = 0 to nt - 1 do
+            let h = host.(ti) in
+            under_sink h (fun () -> Server.host (server h) rates.(ti))
+          done;
+          List.iter
+            (fun v ->
+              if v.ov_detect = Some a && failover_on then
+                let m = v.ov_machine in
+                for ti = 0 to nt - 1 do
+                  if host_prev.(ti) = m && host.(ti) <> m then begin
+                    incr failovers;
+                    let target = host.(ti) in
+                    (* Only proposed-hw residents have sealed
+                       sePCR-bound state worth moving over the link.
+                       Current hw has no residents; an SFI resident
+                       cold-relaunches on the survivor at near-zero
+                       cost, so nothing crosses the wire for it
+                       either. *)
+                    if serve.Server.mode = Server.Proposed && not (down target)
+                    then
+                      List.iter
+                        (fun (kind, _w) ->
+                          let source_alive =
+                            v.ov_kind = Machine_fault.Partition
+                          in
+                          let blob_available =
+                            source_alive || Rng.float churn_rng 1.0 < 0.5
+                          in
+                          match
+                            migrate ~src:m ~dst:target ~source_alive
+                              ~blob_available ti kind
+                          with
+                          | Ok r ->
+                              (match r.Migrate.outcome with
+                              | Migrate.Warm -> incr migrations
+                              | Migrate.Cold -> incr cold_restarts);
+                              if r.Migrate.torn then incr torn;
+                              link_retries :=
+                                !link_retries + r.Migrate.link_retries
+                          | Error _ -> incr cold_restarts)
+                        tenant_arr.(ti).Workload.mix
+                  end
+                done)
+            views;
+          (* Autoscale rebalancing: every tenant whose weighted-ring home
+             moved this tick re-homes its residents, by the paper's
+             sealed-state migration on proposed hardware or by
+             kill-and-respawn spreading under SFI or the spread policy.
+             Current hardware has no residents: the move is pure
+             routing. Tenants displaced by a machine death are the
+             failover path's job, not ours. *)
+          (match auto_cfg with
+          | Some acfg when acfg.Autoscale.policy <> Autoscale.Static ->
+              let migrates =
+                acfg.Autoscale.policy <> Autoscale.Spread
+                && serve.Server.mode = Server.Proposed
               in
-              let host =
-                Array.init nt (fun ti ->
-                    let home = base.(ti) in
-                    if dead home && alive <> [] then
-                      Router.reroute
-                        ?weights:
-                          (match auto_cfg with
-                          | None -> None
-                          | Some _ -> Some weights)
-                        ~alive tenant_arr.(ti)
-                    else home)
-              in
-              (* Barrier work, main domain, machine-index order:
-                 heartbeat suspicion for outages starting here, sealed-
-                 state failover for machines declared dead here, then
-                 autoscale rebalancing for tenants whose arc moved.
-                 Trace events land in the affected machine's own
-                 sink. *)
-              let under_sink m f =
-                match trace with
-                | None -> f ()
-                | Some sink_for -> Sea_trace.Trace.with_sink (sink_for m) f
-              in
-              List.iter
-                (fun v ->
-                  if Time.compare v.ov_start a = 0 then
-                    under_sink v.ov_machine (fun () ->
-                        let engine =
-                          Sea_hw.Machine.engine machines.(v.ov_machine)
-                        in
-                        for j = 1 to v.ov_misses do
-                          Sea_trace.Trace.instant engine ~cat:"churn"
-                            ~args:(fun () ->
-                              [
-                                ("machine",
-                                 Sea_trace.Trace.Int v.ov_machine);
-                                ("miss", Sea_trace.Trace.Int j);
-                                ("outage",
-                                 Sea_trace.Trace.Str
-                                   (Machine_fault.kind_name v.ov_kind));
-                              ])
-                            "heartbeat-miss"
-                        done))
-                views;
-              List.iter
-                (fun v ->
-                  if v.ov_detect = Some a && failover_on then
-                    let m = v.ov_machine in
-                    for ti = 0 to nt - 1 do
-                      if host_prev.(ti) = m && host.(ti) <> m then begin
-                        incr failovers;
-                        let target = host.(ti) in
-                        (* Only proposed-hw residents have sealed
-                           sePCR-bound state worth moving over the
-                           link. Current hw has no residents; an SFI
-                           resident cold-relaunches on the survivor at
-                           near-zero cost, so nothing crosses the
-                           wire for it either. *)
-                        let migrates =
-                          match serve.Server.mode with
-                          | Server.Proposed -> not (down target)
-                          | Server.Current | Server.Sfi -> false
-                        in
+              for ti = 0 to nt - 1 do
+                let src = base_prev.(ti) and dst = base.(ti) in
+                if dst <> src then begin
+                  incr as_moved;
+                  if
+                    serve.Server.mode <> Server.Current
+                    && List.for_all
+                         (fun m -> not (down m || dead m))
+                         [ src; dst ]
+                  then
+                    List.iter
+                      (fun (kind, _w) ->
                         if migrates then
-                          List.iter
-                            (fun (kind, _w) ->
-                              let source_alive =
-                                v.ov_kind = Machine_fault.Partition
-                              in
-                              let blob_available =
-                                source_alive
-                                || Rng.float churn_rng 1.0 < 0.5
-                              in
-                              under_sink target (fun () ->
-                                  match
-                                    Migrate.failover ~source:machines.(m)
-                                      ~target:machines.(target) ~link
-                                      ~source_alive ~blob_available
-                                      ~preemption_timer:
-                                        serve.Server.preemption_timer
-                                      ~tenant:
-                                        tenant_arr.(ti).Workload.name
-                                      ~kind_name:(Workload.kind_name kind)
-                                      (Workload.resident_pal kind) ()
-                                  with
-                                  | Ok r ->
-                                      (match r.Migrate.outcome with
-                                      | Migrate.Warm -> incr migrations
-                                      | Migrate.Cold -> incr cold_restarts);
-                                      if r.Migrate.torn then incr torn;
-                                      link_retries :=
-                                        !link_retries
-                                        + r.Migrate.link_retries;
-                                      Migrate.dispose r
-                                  | Error _ -> incr cold_restarts))
-                            tenant_arr.(ti).Workload.mix
-                      end
-                    done)
-                views;
-              (* Autoscale rebalancing: every tenant whose weighted-ring
-                 home moved this tick re-homes its residents, by the
-                 paper's sealed-state migration on proposed hardware or
-                 by kill-and-respawn spreading where launches are cheap
-                 (or state-free). Tenants displaced by a machine death
-                 are the failover path's job, not ours. *)
-              (match auto_cfg with
-              | Some acfg when acfg.Autoscale.policy <> Autoscale.Static ->
-                  let action kind =
-                    match (acfg.Autoscale.policy, serve.Server.mode) with
-                    | Autoscale.Static, _ -> `None
-                    | (Autoscale.Migrate | Autoscale.Auto), Server.Proposed
-                      ->
-                        `Migrate kind
-                    | Autoscale.Spread, Server.Proposed ->
-                        `Spread (kind, `Slaunch)
-                    | ( (Autoscale.Migrate | Autoscale.Auto
-                        | Autoscale.Spread),
-                        Server.Sfi ) ->
-                        `Spread (kind, `Software (Time.us 25.))
-                    | ( (Autoscale.Migrate | Autoscale.Auto
-                        | Autoscale.Spread),
-                        Server.Current ) ->
-                        (* No residents on current hardware: the move
-                           is pure routing. *)
-                        `None
-                  in
-                  for ti = 0 to nt - 1 do
-                    let src = base_prev.(ti) and dst = base.(ti) in
-                    if dst <> src then begin
-                      incr as_moved;
-                      if
-                        (not (down src)) && (not (dead src))
-                        && (not (down dst))
-                        && not (dead dst)
-                      then
-                        List.iter
-                          (fun (kind, _w) ->
-                            match action kind with
-                            | `None -> ()
-                            | `Migrate kind ->
-                                under_sink dst (fun () ->
-                                    match
-                                      Migrate.failover
-                                        ~source:machines.(src)
-                                        ~target:machines.(dst) ~link
-                                        ~source_alive:true
-                                        ~blob_available:true
-                                        ~preemption_timer:
-                                          serve.Server.preemption_timer
-                                        ~tenant:
-                                          tenant_arr.(ti).Workload.name
-                                        ~kind_name:
-                                          (Workload.kind_name kind)
-                                        (Workload.resident_pal kind) ()
-                                    with
-                                    | Ok r ->
-                                        (match r.Migrate.outcome with
-                                        | Migrate.Warm -> incr as_warm
-                                        | Migrate.Cold -> incr as_cold);
-                                        Migrate.dispose r
-                                    | Error _ -> incr as_cold)
-                            | `Spread (kind, cost) ->
-                                under_sink dst (fun () ->
-                                    match
-                                      Migrate.respawn
-                                        ~target:machines.(dst)
-                                        ~preemption_timer:
-                                          serve.Server.preemption_timer
-                                        ~cost
-                                        ~tenant:
-                                          tenant_arr.(ti).Workload.name
-                                        ~kind_name:
-                                          (Workload.kind_name kind)
-                                        (Workload.resident_pal kind) ()
-                                    with
-                                    | Ok () -> incr as_respawns
-                                    | Error _ -> ()))
-                          tenant_arr.(ti).Workload.mix
-                    end
-                  done
-              | _ -> ());
-              (* Shares for this epoch, each tenant's open-loop rate
-                 specialized to its shape at the epoch's start; a
-                 tenant whose host is down (crashed but not yet
-                 detected, or failover off) is black-holed: its offered
-                 load is charged to the dead machine as
-                 offered-and-failed. *)
-              let eff =
-                Array.map (fun t -> Workload.at_time a t) tenant_arr
-              in
-              let epoch_shares = Array.make n [] in
-              let epoch_len = Time.sub b a in
-              for ti = nt - 1 downto 0 do
-                let h = host.(ti) in
-                if down h then
-                  lost.(h) <-
-                    lost.(h)
-                    + int_of_float
-                        (Float.round
-                           (Router.offered_rate eff.(ti)
-                           *. Time.to_s epoch_len))
-                else epoch_shares.(h) <- eff.(ti) :: epoch_shares.(h)
-              done;
-              let results = Array.make n None in
-              let cfgs =
-                Array.map
-                  (fun spec ->
-                    { serve with Server.faults = spec;
-                      duration = epoch_len })
-                  fault_specs
-              in
-              shard_over results cfgs epoch_shares;
-              (* Collect this epoch in machine order. *)
-              for i = 0 to n - 1 do
-                match results.(i) with
-                | None -> ()
-                | Some (Ok r) ->
-                    epoch_reports.(i) <- r :: epoch_reports.(i);
-                    offered_since.(i) <-
-                      offered_since.(i) + r.Report.aggregate.Report.offered;
-                    (* Completions by churn-displaced tenants on this
-                       survivor are goodput failover recovered (an
-                       autoscale move changes [base] itself, so it does
-                       not count). *)
-                    for ti = 0 to nt - 1 do
-                      if host.(ti) = i && base.(ti) <> i then
-                        List.iter
-                          (fun (row : Report.row) ->
-                            if
-                              row.Report.tenant
-                              = tenant_arr.(ti).Workload.name
-                            then
-                              recovered := !recovered + row.Report.completed)
-                          r.Report.rows
-                    done
-                | Some (Error e) ->
-                    if !first_err = None then
-                      first_err :=
-                        Some (Printf.sprintf "machine %d: %s" i e)
-              done;
-              Array.blit host 0 host_prev 0 nt;
-              Array.blit base 0 base_prev 0 nt
-            end)
-          epochs;
-        match !first_err with
-        | Some e -> Error e
-        | None ->
-            let rows =
-              List.init n (fun i ->
-                  {
-                    Fleet_report.index = i;
-                    tenants = List.length shares.(i);
-                    report =
-                      (match List.rev epoch_reports.(i) with
-                      | [] -> None
-                      | rs -> Some (Report.merge_seq rs));
-                    lost = lost.(i);
-                  })
-            in
-            let count kind =
-              List.length (List.filter (fun v -> v.ov_kind = kind) views)
-            in
-            let churn_stats =
-              Option.map
-                (fun (c : churn_config) ->
-                  {
-                    Fleet_report.failover = c.failover;
-                    crashes = count Machine_fault.Crash;
-                    partitions = count Machine_fault.Partition;
-                    heartbeat_misses =
-                      List.fold_left (fun acc v -> acc + v.ov_misses) 0 views;
-                    failovers = !failovers;
-                    migrations = !migrations;
-                    cold_restarts = !cold_restarts;
-                    torn_backouts = !torn;
-                    link_drops = Link.drops link;
-                    link_retries = !link_retries;
-                    lost_requests = Array.fold_left ( + ) 0 lost;
-                    recovered = !recovered;
-                  })
-                churn_cfg
-            in
-            let autoscale_stats =
-              Option.map
-                (fun (a : Autoscale.config) ->
-                  {
-                    Fleet_report.as_policy =
-                      Autoscale.policy_name a.Autoscale.policy;
-                    interval = a.Autoscale.interval;
-                    hot_threshold = a.Autoscale.hot_threshold;
-                    ticks = !as_ticks;
-                    hot_events = !as_hot;
-                    resizes = !as_resizes;
-                    tenants_moved = !as_moved;
-                    warm_moves = !as_warm;
-                    cold_moves = !as_cold;
-                    respawns = !as_respawns;
-                  })
-                auto_cfg
-            in
-            (try
-               Ok
-                 (Fleet_report.merge ?churn:churn_stats
-                    ?autoscale:autoscale_stats
-                    ~policy:(Router.policy_name cfg.policy) rows)
-             with Invalid_argument _ ->
-               Error
-                 "cluster: every machine was down for the whole window — \
-                  nothing served (raise --mttf or shorten --mttr)")
-      end
+                          match
+                            migrate ~src ~dst ~source_alive:true
+                              ~blob_available:true ti kind
+                          with
+                          | Ok { Migrate.outcome = Migrate.Warm; _ } ->
+                              incr as_warm
+                          | Ok { Migrate.outcome = Migrate.Cold; _ } | Error _
+                            ->
+                              incr as_cold
+                        else
+                          under_sink dst (fun () ->
+                              match
+                                Migrate.respawn ~target:machines.(dst)
+                                  ~backend:
+                                    (Sea_core.Backend.of_kind serve.Server.mode)
+                                  ~preemption_timer:
+                                    serve.Server.preemption_timer
+                                  ~tenant:(name ti)
+                                  ~kind_name:(Workload.kind_name kind)
+                                  (Workload.resident_pal kind) ()
+                              with
+                              | Ok inst ->
+                                  incr as_respawns;
+                                  Server.adopt (server dst) ~tenant:(name ti)
+                                    kind inst
+                              | Error _ -> ()))
+                      tenant_arr.(ti).Workload.mix
+                end
+              done
+          | _ -> ());
+          (* Serve the epoch. A down machine's hosted tenants are
+             black-holed: their own arrival trains over the interval are
+             charged to it as lost. Completions by churn-displaced
+             tenants on survivors are goodput failover recovered (an
+             autoscale move changes [base] itself, so it does not
+             count). *)
+          let displaced =
+            List.filter
+              (fun ti -> host.(ti) <> base.(ti))
+              (List.init nt Fun.id)
+          in
+          let completed_now ti =
+            Server.completed (server host.(ti)) ~tenant:(name ti)
+          in
+          let before = List.map completed_now displaced in
+          shard_over (fun i ->
+              if down i then
+                lost.(i) <- lost.(i) + Server.skip (server i) ~until:b
+              else begin
+                served.(i) <- true;
+                Server.advance (server i) ~until:b
+              end;
+              Ok ());
+          List.iter2
+            (fun ti c0 -> recovered := !recovered + completed_now ti - c0)
+            displaced before;
+          Array.blit host 0 host_prev 0 nt;
+          Array.blit base 0 base_prev 0 nt
+        end)
+      epochs;
+    let reports = Array.make n None in
+    shard_over (fun i ->
+        Option.iter (fun s -> reports.(i) <- Some (Server.finish s)) servers.(i);
+        Ok ());
+    match
+      Array.find_mapi
+        (fun i -> Option.map (Printf.sprintf "machine %d: %s" i))
+        errors
+    with
+    | Some e -> Error e
+    | None -> (
+        let rows =
+          List.init n (fun i ->
+              { Fleet_report.index = i;
+                tenants =
+                  Array.fold_left
+                    (fun acc m -> if m = i then acc + 1 else acc)
+                    0 assignment;
+                (* A machine down for its whole window served nothing. *)
+                report =
+                  (match reports.(i) with
+                  | Some r when served.(i) && r.Report.rows <> [] -> Some r
+                  | Some _ | None -> None);
+                lost = lost.(i) })
+        in
+        let count kind =
+          List.length (List.filter (fun v -> v.ov_kind = kind) views)
+        in
+        let churn_stats =
+          Option.map
+            (fun (c : churn_config) ->
+              { Fleet_report.failover = c.failover;
+                crashes = count Machine_fault.Crash;
+                partitions = count Machine_fault.Partition;
+                heartbeat_misses =
+                  List.fold_left (fun acc v -> acc + v.ov_misses) 0 views;
+                failovers = !failovers; migrations = !migrations;
+                cold_restarts = !cold_restarts; torn_backouts = !torn;
+                link_drops = Link.drops link; link_retries = !link_retries;
+                lost_requests = Array.fold_left ( + ) 0 lost;
+                recovered = !recovered })
+            churn_cfg
+        in
+        let autoscale_stats =
+          Option.map
+            (fun (a : Autoscale.config) ->
+              { Fleet_report.as_policy =
+                  Autoscale.policy_name a.Autoscale.policy;
+                interval = a.Autoscale.interval;
+                hot_threshold = a.Autoscale.hot_threshold; ticks = !as_ticks;
+                hot_events = !as_hot; resizes = !as_resizes;
+                tenants_moved = !as_moved; warm_moves = !as_warm;
+                cold_moves = !as_cold; respawns = !as_respawns })
+            auto_cfg
+        in
+        try
+          Ok
+            (Fleet_report.merge ?churn:churn_stats ?autoscale:autoscale_stats
+               ~policy:(Router.policy_name cfg.policy) rows)
+        with Invalid_argument _ ->
+          Error
+            "cluster: every machine was down for the whole window — \
+             nothing served (raise --mttf or shorten --mttr)")
   end

@@ -34,22 +34,24 @@
     With a {!churn_config}, the run injects machine-scoped failures from
     a deterministic {!Sea_fault.Machine_fault} plan and detects them
     with a virtual-time heartbeat detector: a machine that misses
-    [dead_after] consecutive heartbeats is declared dead, its queue is
-    drained, and its tenants re-route over the consistent-hash ring
-    minus the dead node ({!Router.reroute}). In proposed mode each
+    [dead_after] consecutive heartbeats is declared dead and its
+    tenants re-route over the consistent-hash ring minus the dead node
+    ({!Router.reroute}). In proposed mode each
     displaced tenant's resident PALs fail over by sealed-state migration
     ({!Migrate.failover}); requests offered to a machine that is down
     but not yet (or never, with failover off) detected are black-holed
     and accounted offered-and-failed.
 
-    The serving window is cut into epochs at the instants machine
-    availability or routing belief changes; within an epoch every
-    machine's serve is self-contained, so the epochs shard across
-    domains exactly like a churn-free run and the merged report stays
-    byte-identical across shard counts. All cross-machine work
-    (detection, migration) happens between epochs on the calling domain
-    in machine-index order. A run without [?churn] takes the historical
-    code path unchanged. *)
+    Every machine keeps one live {!Sea_serve.Server.t} for the whole
+    window, which is cut into epochs wherever availability, routing
+    belief, the autoscaler's loop or a workload shape changes. A
+    barrier pauses the servers, runs the cross-machine work (detection,
+    tenant hand-off, migration) on the calling domain in machine-index
+    order, then resumes every reachable machine, sharded. Nothing is
+    restarted at a cut, so a run without churn, autoscale or shapes is
+    one epoch and an observe-only controller renders the uncontrolled
+    report. While a machine is down its tenants' own arrival trains are
+    lost; a crash also fails its queued and in-service requests. *)
 
 type config = {
   machines : int;
@@ -119,18 +121,17 @@ val run :
     [autoscale], when given, runs the {!Autoscale} closed-loop
     controller at the epoch barriers: load sampling every interval,
     hot-spot detection, ring-weight resizing and tenant rebalancing by
-    sealed-state migration or kill-and-respawn spreading. Requires
-    [Hash_tenant] routing (the ring is what gets resized) and at least
-    2 machines ([Error] otherwise). Composes with [churn]: the epoch
-    cuts are the union of both schedules, churn failover runs first at
-    a shared barrier, and a tenant displaced by a machine death is the
-    failover path's job, never double-moved by the controller.
+    sealed-state migration or kill-and-respawn spreading; the moved
+    resident joins the target's server. Requires [Hash_tenant] routing
+    (the ring is what gets resized) and at least 2 machines ([Error]
+    otherwise). Composes with [churn]: the epoch cuts are the union of
+    both schedules, churn failover runs first at a shared barrier, and
+    a tenant displaced by a machine death is the failover path's job,
+    never double-moved by the controller.
 
-    A tenant list with non-steady {!Sea_serve.Workload.shape}s also
-    takes the epoch path (even without [churn] or [autoscale]): the
-    window is cut at each shape's step instants plus a sampling grid
-    for continuous shapes, and every epoch serves each tenant's rate
-    specialized to the epoch's start instant.
+    Non-steady {!Sea_serve.Workload.shape}s cut the window at each
+    shape's step instants plus a sampling grid for continuous shapes;
+    a tenant's rate is its shape at the latest such cut.
 
     Raises [Invalid_argument] on an empty tenant list. [Error] surfaces
     the first failing machine by index. *)

@@ -95,6 +95,21 @@ let accounted_row row =
   | Some r -> Some (with_lost r.Report.aggregate row.lost)
   | None -> if row.lost > 0 then Some (down_row row.lost) else None
 
+(* Sum per-kind fault counts across reports, preserving the kind order
+   of the first non-empty list (all reports emit Fault.all_kinds order). *)
+let merge_fault_counts lists =
+  match List.filter (fun l -> l <> []) lists with
+  | [] -> []
+  | first :: _ as nonempty ->
+      List.map
+        (fun (kind, _) ->
+          ( kind,
+            List.fold_left
+              (fun acc l ->
+                acc + (match List.assoc_opt kind l with Some c -> c | None -> 0))
+              0 nonempty ))
+        first
+
 let merge ?churn ?autoscale ~policy rows =
   if rows = [] then invalid_arg "Fleet_report.merge: no machines";
   let reports = List.filter_map (fun r -> r.report) rows in
@@ -130,7 +145,7 @@ let merge ?churn ?autoscale ~policy rows =
     evictions = sum (fun r -> r.Report.evictions);
     sepcr_waits = sum (fun r -> r.Report.sepcr_waits);
     faults_injected =
-      Report.merge_fault_counts
+      merge_fault_counts
         (List.map (fun r -> r.Report.faults_injected) reports);
     retries = sum (fun r -> r.Report.retries);
     retry_give_ups = sum (fun r -> r.Report.retry_give_ups);
@@ -219,23 +234,7 @@ let pp fmt t =
   Format.fprintf fmt
     "PAL launches: %d cold, %d warm  evictions %d  sePCR waits %d"
     t.cold_starts t.warm_hits t.evictions t.sepcr_waits;
-  (* Like the per-machine report, the vtpm line renders only when a
-     multiplexer served the fleet, and carries only batch-size-invariant
-     counters. *)
-  (match t.vtpm with
-  | Some v ->
-      Format.fprintf fmt
-        "@,vtpm: %d instances  extends %d  seals %d  unseals %d  resets %d"
-        v.Report.instances v.Report.extends v.Report.seals v.Report.unseals
-        v.Report.resets
-  | None -> ());
-  (* Like the per-machine report, the cost line renders only when the
-     cost discipline was active. *)
-  (match t.cost_budget with
-  | Some b ->
-      Format.fprintf fmt "@,cost admission: budget %d us/tenant  cost shed %d"
-        b t.cost_shed
-  | None -> ());
+  Report.pp_vtpm_and_cost fmt (t.vtpm, t.cost_budget, t.cost_shed);
   (* The churn lines render only when a machine-fault plan drove the
      run, so churn-free fleet reports are byte-identical to the
      pre-churn layout. *)

@@ -154,15 +154,13 @@ let dispose r =
 
 (* Kill-and-respawn rebalancing (the autoscaler's "spread" policy): the
    source resident is simply discarded and a fresh one launches on the
-   target — no state crosses the wire. On proposed hardware the respawn
-   pays a real cold SLAUNCH (claim pages, SECB, an sePCR, hash the
-   image) and immediately backs the claim out, charging the true launch
-   cost while leaving the serve loop's sePCR bank untouched between
-   epochs. Under a software (SFI) backend the launch is just stub
-   patching and a software measurement — a flat ~25 µs charge to the
-   target's clock. *)
-let respawn ~target ?(preemption_timer = Sea_sim.Time.ms 10.) ~cost ~tenant
-    ~kind_name:kname pal () =
+   target through the serving backend — no state crosses the wire. On
+   proposed hardware that is a real cold SLAUNCH (claim pages, SECB, an
+   sePCR, hash the image); under SFI it is the software loader. Like
+   [launch_suspended], one slice parks the resident in [Suspend], so
+   the target's server can resume it on any core. *)
+let respawn ~target ~(backend : Backend.t) ?(preemption_timer = Sea_sim.Time.ms 10.)
+    ~tenant ~kind_name:kname pal () =
   let target_engine = Machine.engine target in
   Sea_trace.Trace.with_span target_engine ~cat:"autoscale"
     ~args:(fun () ->
@@ -172,13 +170,12 @@ let respawn ~target ?(preemption_timer = Sea_sim.Time.ms 10.) ~cost ~tenant
       ])
     "respawn"
   @@ fun () ->
-  match cost with
-  | `Software c ->
-      Sea_sim.Engine.advance target_engine c;
-      Ok ()
-  | `Slaunch -> (
-      match launch_suspended target ~preemption_timer pal with
-      | Error e -> Error ("respawn launch: " ^ e)
-      | Ok s ->
-          backout s;
-          Ok ())
+  match backend.Backend.launch target ~cpu:0 ~preemption_timer pal ~input:"" with
+  | Error e -> Error ("respawn launch: " ^ e)
+  | Ok inst -> (
+      match inst.Backend.run_slice ~cpu:0 () with
+      | Ok `Yielded -> Ok inst
+      | Ok `Finished | Error _ ->
+          ignore (inst.Backend.kill ());
+          inst.Backend.release ();
+          Error "respawn: PAL did not suspend")

@@ -61,17 +61,16 @@ val dispose : result_t -> unit
 
 val respawn :
   target:Sea_hw.Machine.t ->
+  backend:Sea_core.Backend.t ->
   ?preemption_timer:Sea_sim.Time.t ->
-  cost:[ `Slaunch | `Software of Sea_sim.Time.t ] ->
   tenant:string ->
   kind_name:string ->
   Sea_core.Pal.t ->
   unit ->
-  (unit, string) result
+  (Sea_core.Backend.instance, string) result
 (** Kill-and-respawn rebalancing (the autoscaler's spread policy): no
-    state moves — a fresh resident simply launches on the target.
-    [`Slaunch] pays a real cold SLAUNCH of [pal] on the target (pages,
-    SECB, sePCR, image hash) and backs the claim out so nothing stays
-    resident between epochs; [`Software c] charges the target's clock a
-    flat [c] (the ~25 µs SFI launch). [Error] only when the SLAUNCH
-    cannot claim the target. *)
+    state moves — a fresh resident of [pal] launches on the target
+    through [backend] (a real cold SLAUNCH on proposed hardware, the
+    software loader under SFI), parked in [Suspend] for the caller to
+    hand to the target's server. [Error] when the launch cannot claim
+    the target. *)

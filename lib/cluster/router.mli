@@ -37,12 +37,6 @@ val policy_name : policy -> string
 
 val policy_of_name : string -> policy option
 
-val offered_rate : Sea_serve.Workload.tenant -> float
-(** The load estimate [Least_loaded] balances on: requests/second for an
-    open-loop tenant; for a closed-loop tenant, clients divided by mean
-    think time (clients × 1000 when think is zero — the saturating
-    regime), a proxy for its maximum offered rate. *)
-
 val assign : policy -> machines:int -> Sea_serve.Workload.tenant list -> int array
 (** [assign p ~machines tenants] gives each tenant (by list position) a
     machine index in [\[0, machines)]. Raises [Invalid_argument] when

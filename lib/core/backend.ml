@@ -130,6 +130,48 @@ let current =
 
 (* --- Proposed hardware: resident SLAUNCH sessions, sePCR-bound --- *)
 
+let slaunch_instance m ?retry s =
+  let engine = m.Machine.engine in
+  {
+    kind = Proposed;
+    run_slice =
+      (fun ~cpu ?budget () -> Slaunch_session.run_slice s ~cpu ?budget ());
+    resume = (fun ~cpu -> Slaunch_session.resume s ~cpu);
+    suspended = (fun () -> Slaunch_session.state s = Lifecycle.Suspend);
+    output = (fun () -> Slaunch_session.output s);
+    kill = (fun () -> Slaunch_session.kill s);
+    release = (fun () -> Slaunch_session.release s);
+    save_state =
+      (fun ~cpu ~tag ->
+        (* The sealed hand-off an evicted or migrated resident leaves
+           behind, bound to its sePCR identity. *)
+        match Slaunch_session.sepcr_handle s with
+        | None -> Ok None
+        | Some h -> (
+            let tpm = Machine.tpm_exn m in
+            match
+              Sea_fault.Retry.run ?policy:retry ~engine (fun () ->
+                  Sea_tpm.Tpm.seal tpm ~caller:(Sea_tpm.Tpm.Cpu cpu) ~sepcr:h
+                    ~pcr_policy:[] tag)
+            with
+            | Ok blob -> Ok (Some blob)
+            | Error e -> Error e));
+    load_state =
+      (fun ~cpu blob ->
+        match Slaunch_session.sepcr_handle s with
+        | None -> Ok ()
+        | Some h -> (
+            let tpm = Machine.tpm_exn m in
+            match
+              Sea_fault.Retry.run ?policy:retry ~engine (fun () ->
+                  Sea_tpm.Tpm.unseal tpm ~caller:(Sea_tpm.Tpm.Cpu cpu)
+                    ~sepcr:h blob)
+            with
+            | Ok _ -> Ok ()
+            | Error e -> Error e));
+    quote = (fun ~nonce -> Slaunch_session.quote_after_exit s ~nonce);
+  }
+
 let proposed_launch m ~cpu ?preemption_timer ?analyze ?retry ?tpm_cap pal
     ~input =
   match
@@ -137,49 +179,7 @@ let proposed_launch m ~cpu ?preemption_timer ?analyze ?retry ?tpm_cap pal
       pal ~input
   with
   | Error e -> Error e
-  | Ok s ->
-      let engine = m.Machine.engine in
-      Ok
-        {
-          kind = Proposed;
-          run_slice =
-            (fun ~cpu ?budget () -> Slaunch_session.run_slice s ~cpu ?budget ());
-          resume = (fun ~cpu -> Slaunch_session.resume s ~cpu);
-          suspended =
-            (fun () -> Slaunch_session.state s = Lifecycle.Suspend);
-          output = (fun () -> Slaunch_session.output s);
-          kill = (fun () -> Slaunch_session.kill s);
-          release = (fun () -> Slaunch_session.release s);
-          save_state =
-            (fun ~cpu ~tag ->
-              (* The sealed hand-off an evicted or migrated resident
-                 leaves behind, bound to its sePCR identity. *)
-              match Slaunch_session.sepcr_handle s with
-              | None -> Ok None
-              | Some h -> (
-                  let tpm = Machine.tpm_exn m in
-                  match
-                    Sea_fault.Retry.run ?policy:retry ~engine (fun () ->
-                        Sea_tpm.Tpm.seal tpm ~caller:(Sea_tpm.Tpm.Cpu cpu)
-                          ~sepcr:h ~pcr_policy:[] tag)
-                  with
-                  | Ok blob -> Ok (Some blob)
-                  | Error e -> Error e));
-          load_state =
-            (fun ~cpu blob ->
-              match Slaunch_session.sepcr_handle s with
-              | None -> Ok ()
-              | Some h -> (
-                  let tpm = Machine.tpm_exn m in
-                  match
-                    Sea_fault.Retry.run ?policy:retry ~engine (fun () ->
-                        Sea_tpm.Tpm.unseal tpm ~caller:(Sea_tpm.Tpm.Cpu cpu)
-                          ~sepcr:h blob)
-                  with
-                  | Ok _ -> Ok ()
-                  | Error e -> Error e));
-          quote = (fun ~nonce -> Slaunch_session.quote_after_exit s ~nonce);
-        }
+  | Ok s -> Ok (slaunch_instance m ?retry s)
 
 let proposed =
   {

@@ -115,6 +115,14 @@ type t = {
           the non-resident backend. *)
 }
 
+val slaunch_instance :
+  Sea_hw.Machine.t ->
+  ?retry:Sea_fault.Retry.policy ->
+  Slaunch_session.t ->
+  instance
+(** An already-started SLAUNCH session as a proposed-hardware resident
+    (how a migrated PAL joins a server); [retry] wraps its seals. *)
+
 val current : t
 val proposed : t
 val sfi : t

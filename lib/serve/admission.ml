@@ -5,26 +5,36 @@ let discipline_name = function
   | Weighted -> "weighted"
   | Cost _ -> "cost"
 
+(* One tenant's lane. [queue] is unused under [Fifo] (the shared [fifo]
+   keeps arrival order across tenants). [Cost] bookkeeping: per-request
+   static costs queued in lockstep with [queue], and the total in
+   flight. *)
+type 'a lane = {
+  weight : int;
+  queue : 'a Queue.t;
+  mutable credit : int;
+  mutable len : int;
+  mutable hwm : int;
+  costs : int Queue.t;
+  mutable cost : int;
+}
+
 type 'a t = {
   discipline : discipline;
   depth : int;
-  tenants : int;
-  weights : int array;
-  queues : 'a Queue.t array; (* Fifo uses only queues.(0)'s sibling below *)
+  mutable lanes : 'a lane array;
   fifo : (int * 'a) Queue.t;
-  credits : int array;
   mutable cursor : int;
   mutable length : int;
   mutable high_water : int;
-  tenant_lengths : int array;
-  tenant_high_water : int array;
-  (* [Cost] bookkeeping: per-request static costs queued in lockstep
-     with [queues], the per-tenant total in flight, and how many offers
-     the budget (rather than the depth) turned away. *)
-  cost_queues : int Queue.t array;
-  tenant_cost : int array;
   mutable cost_shed : int;
+      (* Offers the budget (rather than the depth) turned away. *)
 }
+
+let lane weight =
+  if weight <= 0 then invalid_arg "Admission: weights must be positive";
+  { weight; queue = Queue.create (); credit = weight; len = 0; hwm = 0;
+    costs = Queue.create (); cost = 0 }
 
 let create ~discipline ~depth ~weights =
   if depth <= 0 then invalid_arg "Admission.create: depth must be positive";
@@ -32,50 +42,34 @@ let create ~discipline ~depth ~weights =
   | Cost budget when budget <= 0 ->
       invalid_arg "Admission.create: cost budget must be positive"
   | _ -> ());
-  let tenants = Array.length weights in
-  if tenants = 0 then invalid_arg "Admission.create: no tenants";
-  Array.iter
-    (fun w ->
-      if w <= 0 then invalid_arg "Admission.create: weights must be positive")
-    weights;
-  {
-    discipline;
-    depth;
-    tenants;
-    weights = Array.copy weights;
-    queues = Array.init tenants (fun _ -> Queue.create ());
-    fifo = Queue.create ();
-    credits = Array.copy weights;
-    cursor = 0;
-    length = 0;
-    high_water = 0;
-    tenant_lengths = Array.make tenants 0;
-    tenant_high_water = Array.make tenants 0;
-    cost_queues = Array.init tenants (fun _ -> Queue.create ());
-    tenant_cost = Array.make tenants 0;
-    cost_shed = 0;
-  }
+  { discipline; depth; lanes = Array.map lane weights; fifo = Queue.create ();
+    cursor = 0; length = 0; high_water = 0; cost_shed = 0 }
+
+let add_tenant t ~weight =
+  t.lanes <- Array.append t.lanes [| lane weight |];
+  Array.length t.lanes - 1
 
 let length t = t.length
-let tenant_length t i = t.tenant_lengths.(i)
+let tenant_length t i = t.lanes.(i).len
 let high_water t = t.high_water
-let tenant_high_water t i = t.tenant_high_water.(i)
+let tenant_high_water t i = t.lanes.(i).hwm
 let cost_shed t = t.cost_shed
 
-let full t ~tenant =
+let full t l =
   match t.discipline with
   | Fifo -> t.length >= t.depth
-  | Weighted | Cost _ -> t.tenant_lengths.(tenant) >= t.depth
+  | Weighted | Cost _ -> l.len >= t.depth
 
 let offer ?(cost = 0) t ~tenant x =
-  if tenant < 0 || tenant >= t.tenants then
+  if tenant < 0 || tenant >= Array.length t.lanes then
     invalid_arg "Admission.offer: unknown tenant";
   if cost < 0 then invalid_arg "Admission.offer: negative cost";
-  if full t ~tenant then false
+  let l = t.lanes.(tenant) in
+  if full t l then false
   else begin
     let over_budget =
       match t.discipline with
-      | Cost budget -> t.tenant_cost.(tenant) + cost > budget
+      | Cost budget -> l.cost + cost > budget
       | Fifo | Weighted -> false
     in
     if over_budget then begin
@@ -85,23 +79,23 @@ let offer ?(cost = 0) t ~tenant x =
     else begin
       (match t.discipline with
       | Fifo -> Queue.push (tenant, x) t.fifo
-      | Weighted -> Queue.push x t.queues.(tenant)
+      | Weighted -> Queue.push x l.queue
       | Cost _ ->
-          Queue.push x t.queues.(tenant);
-          Queue.push cost t.cost_queues.(tenant);
-          t.tenant_cost.(tenant) <- t.tenant_cost.(tenant) + cost);
+          Queue.push x l.queue;
+          Queue.push cost l.costs;
+          l.cost <- l.cost + cost);
       t.length <- t.length + 1;
       if t.length > t.high_water then t.high_water <- t.length;
-      t.tenant_lengths.(tenant) <- t.tenant_lengths.(tenant) + 1;
-      if t.tenant_lengths.(tenant) > t.tenant_high_water.(tenant) then
-        t.tenant_high_water.(tenant) <- t.tenant_lengths.(tenant);
+      l.len <- l.len + 1;
+      if l.len > l.hwm then l.hwm <- l.len;
       true
     end
   end
 
 let took t tenant x =
   t.length <- t.length - 1;
-  t.tenant_lengths.(tenant) <- t.tenant_lengths.(tenant) - 1;
+  let l = t.lanes.(tenant) in
+  l.len <- l.len - 1;
   Some (tenant, x)
 
 let take t =
@@ -120,18 +114,19 @@ let take t =
            their turn. Terminates: some queue is non-empty, and
            advancing onto a tenant refills its credit. *)
         let rec find () =
-          if t.tenant_lengths.(t.cursor) > 0 && t.credits.(t.cursor) > 0 then
-            t.cursor
+          let l = t.lanes.(t.cursor) in
+          if l.len > 0 && l.credit > 0 then t.cursor
           else begin
-            t.cursor <- (t.cursor + 1) mod t.tenants;
-            t.credits.(t.cursor) <- t.weights.(t.cursor);
+            t.cursor <- (t.cursor + 1) mod Array.length t.lanes;
+            let next = t.lanes.(t.cursor) in
+            next.credit <- next.weight;
             find ()
           end
         in
         let i = find () in
-        t.credits.(i) <- t.credits.(i) - 1;
-        let x = Queue.pop t.queues.(i) in
-        took t i x
+        let l = t.lanes.(i) in
+        l.credit <- l.credit - 1;
+        took t i (Queue.pop l.queue)
     | Cost _ ->
         (* Cheapest backlog first: the non-empty tenant with the least
            static cost in flight drains next (ties to the lowest
@@ -139,14 +134,13 @@ let take t =
            ones instead of starving them. Purely a function of offer
            history — no clock, no randomness. *)
         let best = ref (-1) in
-        for i = t.tenants - 1 downto 0 do
-          if
-            t.tenant_lengths.(i) > 0
-            && (!best < 0 || t.tenant_cost.(i) <= t.tenant_cost.(!best))
-          then best := i
+        for i = Array.length t.lanes - 1 downto 0 do
+          let l = t.lanes.(i) in
+          if l.len > 0 && (!best < 0 || l.cost <= t.lanes.(!best).cost) then
+            best := i
         done;
         let i = !best in
-        let x = Queue.pop t.queues.(i) in
-        let c = Queue.pop t.cost_queues.(i) in
-        t.tenant_cost.(i) <- t.tenant_cost.(i) - c;
+        let l = t.lanes.(i) in
+        let x = Queue.pop l.queue in
+        l.cost <- l.cost - Queue.pop l.costs;
         took t i x

@@ -29,9 +29,13 @@ type 'a t
 val create : discipline:discipline -> depth:int -> weights:int array -> 'a t
 (** One slot-count [depth] (global for [Fifo], per-tenant for
     [Weighted] and [Cost]); [weights] gives the tenant count and their
-    round-robin shares (ignored by [Fifo] and [Cost]). Raises
-    [Invalid_argument] on a non-positive depth, weight or cost budget,
-    or zero tenants. *)
+    round-robin shares (ignored by [Fifo] and [Cost]); it may be empty
+    and grow with {!add_tenant}. Raises [Invalid_argument] on a
+    non-positive depth, weight or cost budget. *)
+
+val add_tenant : 'a t -> weight:int -> int
+(** Append a tenant with round-robin share [weight] and return its
+    index. Raises [Invalid_argument] on a non-positive weight. *)
 
 val offer : ?cost:int -> 'a t -> tenant:int -> 'a -> bool
 (** Enqueue, or return [false] (shed) if the relevant bound is hit.

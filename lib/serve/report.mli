@@ -1,5 +1,5 @@
 (** Serving reports: per-tenant and aggregate accounting of one
-    {!Server.run}, with tail latencies.
+    server's window ({!Server.finish}), with tail latencies.
 
     Invariant per row: [offered = completed + shed + timed_out + failed]
     plus any requests still queued when the run was cut off (the server
@@ -84,20 +84,7 @@ val merge_rows : tenant:string -> row list -> row
     aggregate each, in a fleet) into one row labelled [tenant]: counters
     and weights sum, latency samples are merged exactly (in list order,
     via {!Sea_sim.Stats.merge}) so percentiles of the result are true
-    cross-run percentiles, and the queue high-water mark is the max.
-    Raises [Invalid_argument] on an empty list. *)
-
-val merge_fault_counts : (string * int) list list -> (string * int) list
-(** Sum per-kind injected-fault counts across reports, preserving the
-    kind order of the first non-empty list. *)
-
-val merge_seq : t list -> t
-(** Merge reports from {e consecutive} serving windows of one machine
-    (the epochs a churn run is cut into): windows and busy times add,
-    counters sum, per-tenant rows fold by name in order of first
-    appearance (weights are configuration, kept from the first window,
-    not summed), and latency samples concatenate exactly. Raises
-    [Invalid_argument] on an empty list. *)
+    cross-run percentiles, and the queue high-water mark is the max. *)
 
 val row_consistent : row -> bool
 (** The per-row accounting invariant:
@@ -110,6 +97,11 @@ val robustness_active : t -> bool
     appends the fault/retry/breaker lines. Always false for a fault-free
     run, whose render is bit-identical to a build without the fault
     machinery. *)
+
+val pp_vtpm_and_cost :
+  Format.formatter -> vtpm_stats option * int option * int -> unit
+(** The optional vTPM and cost-admission lines, shared with the fleet
+    report: each renders only when its layer was active. *)
 
 val goodput_per_s : t -> row -> float
 val pp : Format.formatter -> t -> unit

@@ -96,15 +96,81 @@ val config :
     timer, no faults, no vTPM layer, vTPM batch 16. Raises
     [Invalid_argument] on non-positive values. *)
 
+(** {1 Lifecycle}
+
+    A server is one machine's serving state kept alive across a window:
+    queues, breakers, residents, vTPM instances and each tenant's
+    arrival cursor. {!create} opens the window, {!advance} serves it in
+    as many steps as the caller likes, and {!finish} drains and reports.
+    Each open-loop tenant's Poisson train is drawn from one persistent
+    cursor, so where the steps are cut does not show in the report. *)
+
+type t
+
+val create :
+  Sea_hw.Machine.t -> config -> Workload.tenant list -> (t, string) result
+(** Validate the machine, provision the vTPM layer, bootstrap sealed
+    state (on [Current]) and install the fault plan; the window opens on
+    the engine clock after bootstrap, with the listed tenants (possibly
+    none) hosted. [Error] as for {!run}. *)
+
+val advance : t -> until:Sea_sim.Time.t -> unit
+(** Draw each hosted tenant's arrivals up to [until] (an offset into the
+    window, capped at [duration]) and run the event loop to it. *)
+
+val finish : t -> Report.t
+(** Serve the admitted backlog, tear the machine down (residents, vTPM
+    anchor pipeline, fault plan) and report one row per tenant ever
+    hosted, in hosting order. The window stretches to the last
+    completion, so slow modes cannot hide a backlog. *)
+
+(** {2 Hand-off}
+
+    What a fleet does to a server paused between two {!advance} steps:
+
+    - {!unhost}: the tenant stops drawing arrivals; its queued requests
+      drain here and its residents are released once they have.
+    - {!host}: the tenant draws arrivals here from now on. The first
+      time, it gets a stream split off the engine and, on [Current], its
+      sealed state is bootstrapped (a failure is retried by its first
+      request). A new arrival process for a hosted tenant (a shaped
+      rate's next step) restarts its train, exact for Poisson arrivals.
+    - {!adopt}: a resident that migrated or respawned here serves the
+      tenant's next request warm; it is disposed instead if the tenant
+      is not hosted or already has one, or the pool is full.
+    - {!crash}: every queued and in-service request fails and every
+      resident is dropped; the server resumes later with no
+      re-bootstrap.
+    - {!skip}: {!advance} while the machine is down or partitioned
+      away. Admitted work is still served, but every arrival is
+      black-holed and counted (a closed-loop client once, then it waits
+      for the machine); the count comes from the same cursors, so it
+      does not depend on how the outage is cut. *)
+
+val host : t -> Workload.tenant -> unit
+val unhost : t -> string -> unit
+
+val adopt :
+  t -> tenant:string -> Workload.kind -> Sea_core.Backend.instance -> unit
+
+val crash : t -> unit
+val skip : t -> until:Sea_sim.Time.t -> int
+
+val offered : t -> int
+(** Requests offered so far, all tenants. *)
+
+val completed : t -> tenant:string -> int
+(** The named tenant's completions here so far (0 if never hosted). *)
+
 val run :
   Sea_hw.Machine.t ->
   config ->
   Workload.tenant list ->
   (Report.t, string) result
-(** Bootstrap sealed state (on [Current]), generate arrivals for
-    [duration], serve until the admitted backlog drains, and report.
-    The measurement window stretches to the last completion, so slow
-    modes cannot hide a backlog. [Error] covers machine/mode mismatch
+(** {!create}, one {!advance} to [duration], then {!finish}: bootstrap
+    sealed state (on [Current]), generate arrivals for [duration], serve
+    until the admitted backlog drains, and report. [Error] covers
+    machine/mode mismatch
     (no TPM, or [Proposed] without the proposed hardware) and bootstrap
     failures; per-request errors are counted in the report's [failed]
     column instead. Raises [Invalid_argument] on an empty tenant

@@ -149,11 +149,6 @@ type shape =
   | Diurnal of { period : Time.t; trough : float }
   | Flash of { at : Time.t; width : Time.t; spike : float }
 
-let shape_name = function
-  | Steady -> "steady"
-  | Diurnal _ -> "diurnal"
-  | Flash _ -> "flash"
-
 let validate_shape = function
   | Steady -> ()
   | Diurnal { period; trough } ->
@@ -173,8 +168,8 @@ let shape_multiplier shape now =
   | Steady -> 1.
   | Diurnal { period; trough } ->
       (* Trough at t = 0 (midnight), peak 1.0 at half-period (midday):
-         the classic diurnal curve of a consumer service, sampled at
-         whatever instants the cluster's epoch cuts land on. *)
+         the classic diurnal curve of a consumer service, sampled on
+         the cluster's shape grid. *)
       let phase = Time.to_s now /. Time.to_s period in
       trough +. ((1. -. trough) *. (1. -. cos (2. *. Float.pi *. phase)) /. 2.)
   | Flash { at; width; spike } ->
@@ -184,10 +179,19 @@ let shape_multiplier shape now =
       then spike
       else 1.
 
-let shape_instants shape =
+let shape_instants ~duration shape =
   match shape with
-  | Steady | Diurnal _ -> []
+  | Steady -> []
   | Flash { at; width; _ } -> [ at; Time.add at width ]
+  | Diurnal { period; _ } ->
+      (* 8 samples per cycle, never finer than duration/64, so the
+         sinusoid becomes rate steps instead of its value at zero. *)
+      let step =
+        Stdlib.max 1
+          (Stdlib.max (Time.to_ns period / 8) (Time.to_ns duration / 64))
+      in
+      List.init ((Time.to_ns duration - 1) / step) (fun k ->
+          Time.ns ((k + 1) * step))
 
 type tenant = {
   name : string;

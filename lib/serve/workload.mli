@@ -80,8 +80,10 @@ type process =
     A shape modulates an open-loop tenant's arrival rate over virtual
     time — the millions-of-users traces an autoscaler must ride out.
     Shapes are pure functions of the clock, so a shaped run replays
-    bit-identically; the cluster layer samples them at its epoch cuts
-    (a closed-loop tenant's concurrency is not modulated). *)
+    bit-identically; the cluster layer holds each rate constant between
+    shape cuts (see {!shape_instants}) and restarts the tenant's
+    Poisson train at each step (a closed-loop tenant's concurrency is
+    not modulated). *)
 
 type shape =
   | Steady  (** Constant rate — the historical behavior. *)
@@ -93,17 +95,14 @@ type shape =
       (** Flash crowd: a step to [spike ×] the base rate on
           [\[at, at + width)]. Requires [width > 0] and [spike > 0]. *)
 
-val shape_name : shape -> string
-(** [steady], [diurnal] or [flash]. *)
-
 val shape_multiplier : shape -> Sea_sim.Time.t -> float
 (** The rate multiplier at a virtual instant. Pure. *)
 
-val shape_instants : shape -> Sea_sim.Time.t list
-(** The instants where the multiplier is discontinuous (a flash crowd's
-    onset and end) — the cluster adds them to its epoch cuts so steps
-    are reproduced exactly rather than smeared. Empty for continuous
-    shapes. *)
+val shape_instants : duration:Sea_sim.Time.t -> shape -> Sea_sim.Time.t list
+(** Where a cluster steps the rate inside [\[0, duration)]: a flash
+    crowd's onset and end, reproduced exactly rather than smeared, or a
+    diurnal curve's sampling grid (8 per cycle, never finer than
+    [duration / 64]). Empty for steady shapes. *)
 
 type tenant = {
   name : string;
@@ -134,7 +133,7 @@ val tenant :
 val at_time : Sea_sim.Time.t -> tenant -> tenant
 (** [at_time now t] specializes [t]'s open-loop rate to the instant
     [now] under its shape (identity for steady or closed-loop tenants):
-    what a cluster epoch starting at [now] serves. *)
+    the rate a cluster serves from the shape cut at [now] on. *)
 
 val draw_kind : Sea_sim.Rng.t -> tenant -> kind
 (** Sample one request kind from the tenant's weighted mix. *)

@@ -641,6 +641,40 @@ let test_churn_validation () =
       checkb "error names the machine requirement" true
         (contains_sub e "at least 2 machines")
 
+(* Black-holed load is counted from each tenant's own arrival train
+   over the down interval, so however finely an observe-only controller
+   cuts the window, the same requests are lost — even a 3.3 req/s
+   tenant's, over 0.1 s epochs. *)
+let test_lost_invariant_to_cuts () =
+  let go autoscale =
+    let cfg = Cluster.config ~machines:4 ~policy:Router.Hash_tenant () in
+    let serve =
+      Server.config ~queue_depth:8 ~mode:Server.Sfi ~duration:(Time.s 10.) ()
+    in
+    let plan =
+      Sea_fault.Machine_fault.spec ~mttf:(Time.s 4.) ~mttr:(Time.s 2.) ()
+    in
+    match
+      Cluster.run ~seed:1L ~churn:(Cluster.churn ~failover:false plan ())
+        ?autoscale cfg ~machine_config ~serve
+        (Workload.preset ~tenants:12 (`Open 40.))
+    with
+    | Ok fr -> (Option.get fr.Fleet_report.churn).Fleet_report.lost_requests
+    | Error e -> Alcotest.fail e
+  in
+  let static interval =
+    Some
+      (Autoscale.config ~policy:Autoscale.Static ~interval:(Time.s interval) ())
+  in
+  let plain = go None in
+  checkb "outages black-holed some load" true (plain > 0);
+  List.iter
+    (fun interval ->
+      checki
+        (Printf.sprintf "lost requests with a %.1f s controller" interval)
+        plain (go (static interval)))
+    [ 1.; 0.1 ]
+
 (* --- autoscale --- *)
 
 let contains_sub s sub =
@@ -946,7 +980,39 @@ let test_autoscale_crash_race () =
       (* The same run is still deterministic under the race. *)
       let fr' = auto_fleet ~churn:(Cluster.churn plan ()) () in
       checks (ctx ^ ": race is deterministic") (Fleet_report.render fr)
-        (Fleet_report.render fr'))
+        (Fleet_report.render fr');
+      (* Today's hardware saturates under the same flash crowd, so a
+         crash always finds requests queued. They die with the machine
+         and are failed, on top of the black-holed arrivals; a crashed
+         machine never serves its backlog. No fault plan is installed,
+         so crashes are the only other source of failures. *)
+      let fr =
+        auto_fleet ~mode:Server.Current ~rate:12.
+          ~churn:(Cluster.churn plan ()) ()
+      in
+      List.iter
+        (fun row ->
+          match row.Fleet_report.report with
+          | None -> ()
+          | Some r ->
+              List.iter
+                (fun (t : Report.row) ->
+                  checkb
+                    (Printf.sprintf "%s: m%d %s row consistent" ctx
+                       row.Fleet_report.index t.Report.tenant)
+                    true (Report.row_consistent t))
+                (r.Report.aggregate :: r.Report.rows))
+        fr.Fleet_report.per_machine;
+      let f = fr.Fleet_report.fleet in
+      checkb (ctx ^ ": current-hw fleet row consistent") true
+        (Report.row_consistent f);
+      let c = Option.get fr.Fleet_report.churn in
+      checkb (ctx ^ ": crashes happened") true (c.Fleet_report.crashes > 0);
+      checkb
+        (Printf.sprintf "%s: crashes failed queued requests (%d failed, %d lost)"
+           ctx f.Report.failed c.Fleet_report.lost_requests)
+        true
+        (f.Report.failed > c.Fleet_report.lost_requests))
     churn_seeds
 
 let test_autoscale_validation () =
@@ -980,6 +1046,55 @@ let test_autoscale_validation () =
   Alcotest.check_raises "hot threshold must exceed 1"
     (Invalid_argument "Autoscale.config: --hot-threshold must exceed 1")
     (fun () -> ignore (Autoscale.config ~hot_threshold:1. ()))
+
+(* Observing must not perturb: an observe-only controller cuts the
+   window at every sampling tick, and the live servers pause at each
+   cut instead of restarting, so the report is the uncontrolled one
+   apart from the controller's own two lines. *)
+let test_static_controller_observes_only () =
+  let drop_controller_lines s =
+    String.split_on_char '\n' s
+    |> List.filter (fun l ->
+           not (contains_sub l "autoscale:" || contains_sub l "rebalance:"))
+    |> String.concat "\n"
+  in
+  List.iter
+    (fun (mode, vtpm, rate) ->
+      let machine_config =
+        match mode with
+        | Server.Proposed -> proposed_config
+        | Server.Current | Server.Sfi -> machine_config
+      in
+      let go autoscale =
+        let serve =
+          Server.config ~queue_depth:8 ?vtpm ~mode ~duration:(Time.s 3.) ()
+        in
+        match
+          Cluster.run ~seed:5L ?autoscale
+            (Cluster.config ~machines:4 ~policy:Router.Hash_tenant ())
+            ~machine_config ~serve
+            (Workload.preset ~tenants:8 (`Open rate))
+        with
+        | Ok fr -> drop_controller_lines (Fleet_report.render fr)
+        | Error e -> Alcotest.fail e
+      in
+      let plain = go None in
+      List.iter
+        (fun interval ->
+          checks
+            (Printf.sprintf "%s: static controller every %.2f s"
+               (Server.mode_name mode) interval)
+            plain
+            (go
+               (Some
+                  (Autoscale.config ~policy:Autoscale.Static
+                     ~interval:(Time.s interval) ()))))
+        [ 1.; 0.25 ])
+    [
+      (Server.Current, Some 4, 4.);
+      (Server.Proposed, None, 40.);
+      (Server.Sfi, None, 40.);
+    ]
 
 let () =
   Alcotest.run "cluster"
@@ -1034,6 +1149,8 @@ let () =
           Alcotest.test_case "tracing is observer-only" `Quick
             test_churn_trace_gated;
           Alcotest.test_case "churn validation" `Quick test_churn_validation;
+          Alcotest.test_case "lost requests independent of epoch cuts" `Quick
+            test_lost_invariant_to_cuts;
         ] );
       ( "autoscale",
         [
@@ -1049,5 +1166,7 @@ let () =
             test_autoscale_crash_race;
           Alcotest.test_case "autoscale validation" `Quick
             test_autoscale_validation;
+          Alcotest.test_case "static controller observes only" `Quick
+            test_static_controller_observes_only;
         ] );
     ]

@@ -9,7 +9,7 @@
 # wall time), gated at SEA_MIN_SPEEDUP (default 2.0; set 0 to skip on
 # oversubscribed machines).
 #
-# Usage: tools/check_determinism.sh [all|shards|cost|vtpm|churn|autoscale]
+# Usage: tools/check_determinism.sh [all|shards|cost|vtpm|churn|autoscale|observe]
 #
 # Run it from anywhere; it cds to the repo root. In CI wrap it with
 # `opam exec --`. Report files are left as fleet-*.txt in the repo root
@@ -22,9 +22,9 @@ cli=_build/default/bin/sea_cli.exe
 
 filter="${1:-all}"
 case "$filter" in
-  all|shards|cost|vtpm|churn|autoscale) ;;
+  all|shards|cost|vtpm|churn|autoscale|observe) ;;
   *)
-    echo "usage: $0 [all|shards|cost|vtpm|churn|autoscale]" >&2
+    echo "usage: $0 [all|shards|cost|vtpm|churn|autoscale|observe]" >&2
     exit 2
     ;;
 esac
@@ -139,6 +139,34 @@ if want autoscale; then
     grep -q "^autoscale:" "fleet-autoscale-$mode-s1.txt"
     grep -q "^rebalance:" "fleet-autoscale-$mode-s1.txt"
     echo "$mode: autoscaling fleet report byte-identical across shard counts"
+  done
+fi
+
+# Observing must not perturb: an observe-only controller (static
+# autoscale) cuts the window every 0.25 s, and each machine's live
+# server pauses at the cut instead of restarting, so the render is the
+# uncontrolled one apart from the controller's own two lines — on every
+# backend, and on 1 and 4 shards alike.
+if want observe; then
+  for mode in current proposed sfi; do
+    case "$mode" in
+      current)  flags="--rate 8 --duration 5 --vtpm 4" ;;
+      proposed) flags="--rate 40 --duration 5" ;;
+      sfi)      flags="--rate 40 --duration 5" ;;
+    esac
+    "$cli" cluster --mode "$mode" --machines 4 --seed 13 --policy hash \
+      $flags >"fleet-observe-$mode-plain.txt" 2>/dev/null
+    for shards in 1 4; do
+      "$cli" cluster --mode "$mode" --machines 4 --shards "$shards" \
+        --seed 13 --policy hash $flags --autoscale static \
+        --scale-interval 0.25 2>/dev/null \
+        | grep -v -e '^autoscale:' -e '^rebalance:' \
+        >"fleet-observe-$mode-s$shards.txt"
+    done
+    diff "fleet-observe-$mode-plain.txt" "fleet-observe-$mode-s1.txt"
+    diff "fleet-observe-$mode-s1.txt" "fleet-observe-$mode-s4.txt"
+    echo "$mode: observe-only controller leaves the fleet report unchanged" \
+         "(shards 1 = 4)"
   done
 fi
 
