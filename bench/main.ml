@@ -588,7 +588,27 @@ module Micro = struct
     (match Slaunch_session.run_slice session ~cpu:0 () with
     | Ok `Yielded -> ()
     | _ -> failwith "micro setup: expected yield");
+    let open Sea_crypto in
+    let ca = Keyvault.get ~label:"privacy-ca" ~bits:2048 in
+    let srk = Keyvault.get ~label:"srk:Broadcom" ~bits:512 in
+    let ct512 = Rsa.encrypt srk.Rsa.pub (Drbg.create ~seed:"micro") "payload" in
+    let keygen_seed = ref 0 in
+    let tpm_engine = Engine.create () in
     [
+      Test.make ~name:"rsa2048-sign"
+        (Staged.stage (fun () -> Rsa.sign ca "micro message"));
+      Test.make ~name:"rsa512-decrypt"
+        (Staged.stage (fun () -> Rsa.decrypt srk ct512));
+      Test.make ~name:"rsa512-keygen"
+        (Staged.stage (fun () ->
+             incr keygen_seed;
+             Rsa.generate ~bits:512
+               (Drbg.create ~seed:(Printf.sprintf "micro-keygen-%d" !keygen_seed))));
+      Test.make ~name:"bignum-divmod-2048/1024"
+        (Staged.stage (fun () -> Bignum.divmod ca.Rsa.pub.Rsa.n ca.Rsa.p));
+      (* Every key and the AIK certificate are cached after the first. *)
+      Test.make ~name:"tpm-create (keys cached)"
+        (Staged.stage (fun () -> Sea_tpm.Tpm.create tpm_engine));
       Test.make ~name:"sha1-64KB"
         (Staged.stage (fun () -> Sea_crypto.Sha1.digest (String.make 65536 'x')));
       Test.make ~name:"simulate-skinit-64KB (table1)"

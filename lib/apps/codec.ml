@@ -26,8 +26,13 @@ let rsa_private_of_string s =
   let d = Wire.decoder s in
   let read () = Option.map Bignum.of_bytes_be (Wire.read_string d) in
   match (read (), read (), read (), read (), read ()) with
-  | Some n, Some e, Some dd, Some p, Some q ->
-      Some { Rsa.pub = { Rsa.n; e }; d = dd; p; q }
+  | Some n, Some e, Some dd, Some p, Some q -> (
+      (* Rebuild from the primes and accept only a consistent key: CRT
+         signs with p and q, so n and d must be the ones they imply. *)
+      match Option.bind (Bignum.to_int_opt e) (fun e -> Rsa.of_primes ~e p q) with
+      | Some key when Bignum.equal key.Rsa.pub.Rsa.n n && Bignum.equal key.Rsa.d dd ->
+          Some key
+      | _ -> None)
   | _ -> None
 
 let rsa_public_to_string (pub : Rsa.public) =
@@ -40,5 +45,5 @@ let rsa_public_of_string s =
   let d = Wire.decoder s in
   let read () = Option.map Bignum.of_bytes_be (Wire.read_string d) in
   match (read (), read ()) with
-  | Some n, Some e -> Some { Rsa.n; e }
+  | Some n, Some e -> Some (Rsa.public ~n ~e)
   | _ -> None

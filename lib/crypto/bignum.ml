@@ -1,6 +1,8 @@
 (* Little-endian arrays of 31-bit limbs, canonical (no trailing zero limb).
-   Base 2^31 keeps every intermediate product below 2^63 on 64-bit ints:
-   limb*limb < 2^62 and the schoolbook inner loop adds at most 2^32 more. *)
+   Base B = 2^31 keeps every inner-loop step inside a 63-bit int: a limb
+   plus a limb product plus a carry below B is at most
+   (B-1) + (B-1)^2 + (B-1) = B^2 - 1 = max_int, and its carry is again
+   below B. *)
 
 let limb_bits = 31
 let limb_base = 1 lsl limb_bits
@@ -114,14 +116,8 @@ let mul a b =
         r.(i + j) <- cur land limb_mask;
         carry := cur lsr limb_bits
       done;
-      (* Propagate the final carry, which may itself overflow one limb. *)
-      let k = ref (i + lb) in
-      while !carry <> 0 do
-        let cur = r.(!k) + !carry in
-        r.(!k) <- cur land limb_mask;
-        carry := cur lsr limb_bits;
-        incr k
-      done
+      (* Row [i] is the first to reach limb [i + lb]. *)
+      r.(i + lb) <- !carry
     done;
     normalize r
   end
@@ -163,24 +159,76 @@ let shift_right a n =
     end
   end
 
+(* Short division by one limb [d]: the running remainder stays below [d],
+   so [r * B + limb] < B^2. *)
+let divmod_limb a d =
+  let q = Array.make (Array.length a) 0 in
+  let r = ref 0 in
+  for i = Array.length a - 1 downto 0 do
+    let cur = (!r lsl limb_bits) lor a.(i) in
+    q.(i) <- cur / d;
+    r := cur - (q.(i) * d)
+  done;
+  (normalize q, of_int !r)
+
+(* Knuth, TAOCP vol. 2, §4.3.1, Algorithm D, for a divisor of n >= 2 limbs
+   and a >= b. Both operands are shifted so the divisor's top bit is set,
+   which bounds each trial quotient digit to at most one too large once
+   it passes the second-limb test. *)
+let divmod_knuth a b =
+  let n = Array.length b in
+  let s = limb_bits - bit_length [| b.(n - 1) |] in
+  let v = shift_left b s in
+  let u = Array.make (Array.length a + 1) 0 in
+  let a' = shift_left a s in
+  Array.blit a' 0 u 0 (Array.length a');
+  let m = Array.length a - n in
+  let q = Array.make (m + 1) 0 in
+  let vtop = v.(n - 1) and vnext = v.(n - 2) in
+  for j = m downto 0 do
+    let num = (u.(j + n) lsl limb_bits) lor u.(j + n - 1) in
+    let qhat = ref (num / vtop) in
+    (* Clamp below B first, so qhat * vnext and rhat * B stay below 2^62. *)
+    if !qhat > limb_mask then qhat := limb_mask;
+    let rhat = ref (num - (!qhat * vtop)) in
+    while
+      !rhat <= limb_mask
+      && !qhat * vnext > (!rhat lsl limb_bits) lor u.(j + n - 2)
+    do
+      decr qhat;
+      rhat := !rhat + vtop
+    done;
+    (* u[j .. j+n] -= qhat * v *)
+    let carry = ref 0 and borrow = ref 0 in
+    for i = 0 to n - 1 do
+      let p = (!qhat * v.(i)) + !carry in
+      carry := p lsr limb_bits;
+      let d = u.(i + j) - (p land limb_mask) - !borrow in
+      u.(i + j) <- d land limb_mask;
+      borrow := if d < 0 then 1 else 0
+    done;
+    let d = u.(j + n) - !carry - !borrow in
+    u.(j + n) <- d land limb_mask;
+    if d < 0 then begin
+      (* qhat was one too large: add v back, dropping the final carry. *)
+      decr qhat;
+      let carry = ref 0 in
+      for i = 0 to n - 1 do
+        let sum = u.(i + j) + v.(i) + !carry in
+        u.(i + j) <- sum land limb_mask;
+        carry := sum lsr limb_bits
+      done;
+      u.(j + n) <- (u.(j + n) + !carry) land limb_mask
+    end;
+    q.(j) <- !qhat
+  done;
+  (normalize q, shift_right (normalize (Array.sub u 0 n)) s)
+
 let divmod a b =
   if is_zero b then raise Division_by_zero;
   if compare a b < 0 then (zero, a)
-  else begin
-    (* Binary long division: walk the divisor down from the top bit. *)
-    let shift = bit_length a - bit_length b in
-    let q = Array.make (shift / limb_bits + 1) 0 in
-    let r = ref a in
-    let d = ref (shift_left b shift) in
-    for i = shift downto 0 do
-      if compare !r !d >= 0 then begin
-        r := sub !r !d;
-        q.(i / limb_bits) <- q.(i / limb_bits) lor (1 lsl (i mod limb_bits))
-      end;
-      d := shift_right !d 1
-    done;
-    (normalize q, !r)
-  end
+  else if Array.length b = 1 then divmod_limb a b.(0)
+  else divmod_knuth a b
 
 let div a b = fst (divmod a b)
 let rem a b = snd (divmod a b)
@@ -192,6 +240,19 @@ let mod_sub a b ~m =
   if compare a b >= 0 then sub a b else sub (add a m) b
 
 let mod_mul a b ~m = rem (mul a b) m
+
+(* Bits [pos, pos + w) of [a], for w <= limb_bits. *)
+let bits_at a pos w =
+  let l = pos / limb_bits and off = pos mod limb_bits in
+  if l >= Array.length a then 0
+  else
+    let v = a.(l) lsr off in
+    let v =
+      if off + w > limb_bits && l + 1 < Array.length a then
+        v lor (a.(l + 1) lsl (limb_bits - off))
+      else v
+    in
+    v land ((1 lsl w) - 1)
 
 (* --- Montgomery machinery for odd moduli --- *)
 
@@ -205,79 +266,107 @@ let inv_limb x =
   done;
   !y land limb_mask
 
-type mont = { m : t; k : int; m0' : int }
+(* R = B^k for a k-limb modulus m; m0' = -m^-1 mod B; r2 = R^2 mod m,
+   zero-padded to k limbs like every operand of [mont_mul]. *)
+type mont = { m : t; k : int; m0' : int; r2 : t }
 
-let mont_of_modulus m =
+let pad k a =
+  let r = Array.make k 0 in
+  Array.blit a 0 r 0 (Array.length a);
+  r
+
+let mont m =
+  if Array.length m = 0 || m.(0) land 1 = 0 || equal m one then
+    invalid_arg "Bignum.mont: modulus must be odd and above one";
   let k = Array.length m in
-  let m0' = limb_base - inv_limb m.(0) in
-  { m; k; m0' }
+  let r2 = rem (shift_left one (2 * k * limb_bits)) m in
+  { m; k; m0' = limb_base - inv_limb m.(0); r2 = pad k r2 }
 
-(* REDC: given t < m * base^k (as a (2k+1)-limb buffer), compute
-   t * base^(-k) mod m in place, returning a fresh canonical value. *)
-let mont_redc ctx (t : int array) =
-  let { m; k; m0' } = ctx in
+(* Unchecked limb access for the product below, which carries almost all
+   of the exponentiation time: its buffers are built by [mont_pow] with k
+   (operands, modulus) or k+2 (scratch) limbs, and no index leaves
+   [0, k+1]. *)
+external ( .%() ) : int array -> int -> int = "%array_unsafe_get"
+external ( .%()<- ) : int array -> int -> int -> unit = "%array_unsafe_set"
+
+(* dst <- a * b / R mod m by CIOS (Koç, Acar & Kaliski 1996). [a] and [b]
+   are k-limb values below m; [t] is a (k+2)-limb scratch buffer; [dst]
+   may alias [a] or [b], since it is written only after the product. *)
+let mont_mul ctx t a b dst =
+  let { m; k; m0'; _ } = ctx in
+  Array.fill t 0 (k + 2) 0;
   for i = 0 to k - 1 do
-    let u = t.(i) * m0' land limb_mask in
-    let carry = ref 0 in
+    let bi = b.%(i) in
+    let c = ref 0 in
     for j = 0 to k - 1 do
-      let cur = t.(i + j) + (u * m.(j)) + !carry in
-      t.(i + j) <- cur land limb_mask;
-      carry := cur lsr limb_bits
+      let s = t.%(j) + (a.%(j) * bi) + !c in
+      t.%(j) <- s land limb_mask;
+      c := s lsr limb_bits
     done;
-    let idx = ref (i + k) in
-    while !carry <> 0 do
-      let cur = t.(!idx) + !carry in
-      t.(!idx) <- cur land limb_mask;
-      carry := cur lsr limb_bits;
-      incr idx
-    done
-  done;
-  let r = normalize (Array.sub t k (Array.length t - k)) in
-  if compare r m >= 0 then sub r m else r
-
-let mont_mul ctx a b =
-  let buf = Array.make ((2 * ctx.k) + 1) 0 in
-  let la = Array.length a and lb = Array.length b in
-  for i = 0 to la - 1 do
-    let carry = ref 0 in
-    let ai = a.(i) in
-    for j = 0 to lb - 1 do
-      let cur = buf.(i + j) + (ai * b.(j)) + !carry in
-      buf.(i + j) <- cur land limb_mask;
-      carry := cur lsr limb_bits
+    let s = t.%(k) + !c in
+    t.%(k) <- s land limb_mask;
+    t.%(k + 1) <- s lsr limb_bits;
+    (* Add u*m, which zeroes limb 0, and shift down one limb. *)
+    let u = t.%(0) * m0' land limb_mask in
+    let c = ref ((t.%(0) + (u * m.%(0))) lsr limb_bits) in
+    for j = 1 to k - 1 do
+      let s = t.%(j) + (u * m.%(j)) + !c in
+      t.%(j - 1) <- s land limb_mask;
+      c := s lsr limb_bits
     done;
-    let idx = ref (i + lb) in
-    while !carry <> 0 do
-      let cur = buf.(!idx) + !carry in
-      buf.(!idx) <- cur land limb_mask;
-      carry := cur lsr limb_bits;
-      incr idx
-    done
+    let s = t.%(k) + !c in
+    t.%(k - 1) <- s land limb_mask;
+    t.%(k) <- t.%(k + 1) + (s lsr limb_bits)
   done;
-  mont_redc ctx buf
+  (* Now t < 2m: subtract m once if t >= m. *)
+  let rec geq i = i < 0 || t.%(i) > m.%(i) || (t.%(i) = m.%(i) && geq (i - 1)) in
+  if t.%(k) <> 0 || geq (k - 1) then begin
+    let borrow = ref 0 in
+    for j = 0 to k - 1 do
+      let d = t.%(j) - m.%(j) - !borrow in
+      dst.(j) <- d land limb_mask;
+      borrow := if d < 0 then 1 else 0
+    done
+  end
+  else Array.blit t 0 dst 0 k
 
-let mod_pow_mont ~base ~exp ~m =
-  let ctx = mont_of_modulus m in
+let mont_pow ctx ~base ~exp =
   let k = ctx.k in
-  (* R mod m and base*R mod m via division (setup cost only). *)
-  let r_mod_m = rem (shift_left one (k * limb_bits)) m in
-  let base_m = rem (mul (rem base m) (rem (shift_left one (k * limb_bits)) m)) m in
-  let acc = ref r_mod_m in
-  let nbits = bit_length exp in
-  for i = nbits - 1 downto 0 do
-    acc := mont_mul ctx !acc !acc;
-    if test_bit exp i then acc := mont_mul ctx !acc base_m
-  done;
-  (* Convert out of Montgomery form: multiply by 1. *)
-  let buf = Array.make ((2 * k) + 1) 0 in
-  Array.blit !acc 0 buf 0 (Array.length !acc);
-  mont_redc ctx buf
+  if is_zero exp then one
+  else begin
+    let nbits = bit_length exp in
+    (* Fixed windows of w exponent bits: 2^w - 2 products up front cut
+       each window's multiplies from up to w to at most one, which pays
+       on long (private and Miller-Rabin) exponents but not on
+       e = 65537. *)
+    let w = if nbits > 64 then 4 else 1 in
+    let t = Array.make (k + 2) 0 in
+    (* table.(i) = base^i * R mod m *)
+    let table = Array.init (1 lsl w) (fun _ -> Array.make k 0) in
+    mont_mul ctx t (pad k (rem base ctx.m)) ctx.r2 table.(1);
+    for i = 2 to (1 lsl w) - 1 do
+      mont_mul ctx t table.(i - 1) table.(1) table.(i)
+    done;
+    let ndigits = (nbits + w - 1) / w in
+    (* The top window holds the top bit, so it is never zero. *)
+    let acc = Array.copy table.(bits_at exp ((ndigits - 1) * w) w) in
+    for i = ndigits - 2 downto 0 do
+      for _ = 1 to w do
+        mont_mul ctx t acc acc acc
+      done;
+      let d = bits_at exp (i * w) w in
+      if d <> 0 then mont_mul ctx t acc table.(d) acc
+    done;
+    (* Out of Montgomery form: multiply by 1. *)
+    mont_mul ctx t acc (pad k one) acc;
+    normalize acc
+  end
 
 let mod_pow ~base ~exp ~m =
   if is_zero m then raise Division_by_zero;
   if equal m one then zero
   else if is_zero exp then one
-  else if m.(0) land 1 = 1 then mod_pow_mont ~base ~exp ~m
+  else if m.(0) land 1 = 1 then mont_pow (mont m) ~base ~exp
   else begin
     let acc = ref one in
     let b = ref (rem base m) in
@@ -309,14 +398,30 @@ let mod_inverse a ~m =
     if equal !r one then Some !t else None
   end
 
-let of_bytes_be s =
-  let acc = ref zero in
-  String.iter (fun c -> acc := add (shift_left !acc 8) (of_int (Char.code c))) s;
-  !acc
+(* --- Conversions: each digit packs into, or reads from, at most two
+   limbs, so all four run in linear time. --- *)
+
+(* The value whose [n] big-endian [w]-bit digits are [digit 0 .. n-1]. *)
+let pack ~w n digit =
+  let r = Array.make (((n * w) + limb_bits - 1) / limb_bits) 0 in
+  let acc = ref 0 and nacc = ref 0 and k = ref 0 in
+  for i = n - 1 downto 0 do
+    acc := !acc lor (digit i lsl !nacc);
+    nacc := !nacc + w;
+    if !nacc >= limb_bits then begin
+      r.(!k) <- !acc land limb_mask;
+      incr k;
+      acc := !acc lsr limb_bits;
+      nacc := !nacc - limb_bits
+    end
+  done;
+  if !nacc > 0 then r.(!k) <- !acc;
+  normalize r
+
+let of_bytes_be s = pack ~w:8 (String.length s) (fun i -> Char.code s.[i])
 
 let to_bytes_be ?pad_to a =
-  let nbytes = (bit_length a + 7) / 8 in
-  let nbytes = if nbytes = 0 then 1 else nbytes in
+  let nbytes = max 1 ((bit_length a + 7) / 8) in
   let width =
     match pad_to with
     | None -> nbytes
@@ -324,16 +429,7 @@ let to_bytes_be ?pad_to a =
         if w < nbytes then invalid_arg "Bignum.to_bytes_be: value exceeds pad_to";
         w
   in
-  let b = Bytes.make width '\000' in
-  let v = ref a in
-  for i = width - 1 downto 0 do
-    let byte =
-      match to_int_opt (rem !v (of_int 256)) with Some x -> x | None -> assert false
-    in
-    Bytes.set b i (Char.chr byte);
-    v := shift_right !v 8
-  done;
-  Bytes.to_string b
+  String.init width (fun i -> Char.chr (bits_at a (8 * (width - 1 - i)) 8))
 
 let of_hex s =
   let digit c =
@@ -343,25 +439,13 @@ let of_hex s =
     | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
     | _ -> invalid_arg "Bignum.of_hex: invalid character"
   in
-  let acc = ref zero in
-  String.iter (fun c -> acc := add (shift_left !acc 4) (of_int (digit c))) s;
-  !acc
+  pack ~w:4 (String.length s) (fun i -> digit s.[i])
 
 let to_hex a =
   if is_zero a then "0"
-  else begin
-    let digits = Buffer.create 32 in
-    let v = ref a in
-    while not (is_zero !v) do
-      let d =
-        match to_int_opt (rem !v (of_int 16)) with Some x -> x | None -> assert false
-      in
-      Buffer.add_char digits "0123456789abcdef".[d];
-      v := shift_right !v 4
-    done;
-    let s = Buffer.contents digits in
-    String.init (String.length s) (fun i -> s.[String.length s - 1 - i])
-  end
+  else
+    let n = (bit_length a + 3) / 4 in
+    String.init n (fun i -> "0123456789abcdef".[bits_at a (4 * (n - 1 - i)) 4])
 
 let of_random_bits gen bits =
   if bits <= 0 then zero

@@ -9,13 +9,8 @@ let lock = Mutex.create ()
 
 (* Rebuild a key from its stored prime pair (e is always 65537). *)
 let of_primes p_hex q_hex =
-  let open Bignum in
-  let p = of_hex p_hex and q = of_hex q_hex in
-  let n = mul p q in
-  let e = of_int 65537 in
-  let phi = mul (sub p one) (sub q one) in
-  match mod_inverse e ~m:phi with
-  | Some d -> { Rsa.pub = { Rsa.n; e }; d; p; q }
+  match Rsa.of_primes (Bignum.of_hex p_hex) (Bignum.of_hex q_hex) with
+  | Some key -> key
   | None -> invalid_arg "Keyvault: embedded primes do not admit e = 65537"
 
 let embedded ~label ~bits =

@@ -9,18 +9,46 @@
     blinding, no constant-time guarantees — the "hardware" it runs inside is
     itself simulated. *)
 
-type public = { n : Bignum.t; e : Bignum.t }
+type public = private {
+  n : Bignum.t;
+  e : Bignum.t;
+  n_ctx : Bignum.mont option;  (** [None] unless [n] is odd and above one *)
+}
+(** Built only by [public] or [of_primes], so the Montgomery context for
+    [n], which [verify] and [encrypt] use, always matches [n]. *)
 
-type private_key = {
+val public : n:Bignum.t -> e:Bignum.t -> public
+
+type private_key = private {
   pub : public;
   d : Bignum.t;
   p : Bignum.t;
   q : Bignum.t;
+  dp : Bignum.t;  (** d mod (p-1) *)
+  dq : Bignum.t;  (** d mod (q-1) *)
+  qinv : Bignum.t;  (** q⁻¹ mod p *)
+  p_ctx : Bignum.mont;
+  q_ctx : Bignum.mont;
 }
+(** Every field is computed eagerly by [of_primes], so a key shared across
+    domains is never mutated. [sign] and [decrypt] compute c^d mod n by the
+    Chinese remainder theorem: c^dp mod p and c^dq mod q, recombined with
+    Garner's formula. For distinct primes p and q this is exactly
+    [Bignum.mod_pow ~base:c ~exp:d ~m:n], at about a quarter of the
+    cost. *)
+
+val of_primes : ?e:int -> Bignum.t -> Bignum.t -> private_key option
+(** [of_primes p q] is the key with modulus [p*q], public exponent [e]
+    (default 65537) and d = e⁻¹ mod (p-1)(q-1). [None] if [p] or [q] is
+    below 3 or even, if [p = q] or they share a factor, or if [e] has no
+    inverse. Primality is not checked: CRT matches plain exponentiation
+    only when [p] and [q] are prime. *)
 
 val generate : ?e:int -> bits:int -> Drbg.t -> private_key
 (** [generate ~bits drbg] creates a key with a modulus of exactly [bits]
-    bits ([bits >= 32]). The default public exponent is 65537. *)
+    bits ([bits >= 32]). The default public exponent is 65537. Prime
+    pairs are drawn until their product has [bits] bits and [of_primes]
+    accepts them. *)
 
 val key_bytes : public -> int
 (** Modulus length in bytes. *)

@@ -28,11 +28,24 @@ type t = {
 let privacy_ca () = Keyvault.get ~label:"privacy-ca" ~bits:2048
 let privacy_ca_public () = (privacy_ca ()).Rsa.pub
 
+(* A certificate is a deterministic PKCS#1 v1.5 signature over the AIK's
+   public key, so it is signed once per key and process. As in [Keyvault],
+   a lock keeps the table consistent when TPMs are created from several
+   domains, and a racing double sign yields the identical bytes. *)
+let aik_certs : (string, string) Hashtbl.t = Hashtbl.create 7
+let aik_certs_lock = Mutex.create ()
+
 let certify_aik (aik_pub : Rsa.public) =
   let enc = Wire.encoder () in
   Wire.add_string enc (Bignum.to_bytes_be aik_pub.Rsa.n);
   Wire.add_string enc (Bignum.to_bytes_be aik_pub.Rsa.e);
-  Rsa.sign (privacy_ca ()) ("AIK-CERT" ^ Wire.contents enc)
+  let msg = "AIK-CERT" ^ Wire.contents enc in
+  match Mutex.protect aik_certs_lock (fun () -> Hashtbl.find_opt aik_certs msg) with
+  | Some cert -> cert
+  | None ->
+      let cert = Rsa.sign (privacy_ca ()) msg in
+      Mutex.protect aik_certs_lock (fun () -> Hashtbl.replace aik_certs msg cert);
+      cert
 
 let verify_aik_certificate ~ca ~(aik : Rsa.public) cert =
   let enc = Wire.encoder () in

@@ -36,6 +36,22 @@ let test_codec_rsa_roundtrip () =
   | None -> Alcotest.fail "public roundtrip failed");
   checkb "garbage public rejected" true (Codec.rsa_public_of_string "xx" = None)
 
+let test_codec_rejects_inconsistent_key () =
+  let open Sea_crypto in
+  let key = Rsa.generate ~bits:256 (Drbg.create ~seed:"codec") in
+  let other = Rsa.generate ~bits:256 (Drbg.create ~seed:"codec-other") in
+  let encode values =
+    let enc = Wire.encoder () in
+    List.iter (fun v -> Wire.add_string enc (Bignum.to_bytes_be v)) values;
+    Wire.contents enc
+  in
+  let decodes values = Option.is_some (Codec.rsa_private_of_string (encode values)) in
+  let { Rsa.n; e; _ } = key.Rsa.pub and d = key.Rsa.d and p = key.Rsa.p and q = key.Rsa.q in
+  checkb "consistent key accepted" true (decodes [ n; e; d; p; q ]);
+  checkb "n other than p*q rejected" false (decodes [ other.Rsa.pub.Rsa.n; e; d; p; q ]);
+  checkb "d other than e^-1 rejected" false (decodes [ n; e; other.Rsa.d; p; q ]);
+  checkb "e other than the one d inverts rejected" false (decodes [ n; Bignum.of_int 3; d; p; q ])
+
 (* --- Certificate authority --- *)
 
 let test_ca_issue_and_verify () =
@@ -295,6 +311,8 @@ let () =
         [
           Alcotest.test_case "command roundtrip" `Quick test_codec_command_roundtrip;
           Alcotest.test_case "rsa key roundtrip" `Quick test_codec_rsa_roundtrip;
+          Alcotest.test_case "inconsistent rsa key rejected" `Quick
+            test_codec_rejects_inconsistent_key;
         ] );
       ( "cert-authority",
         [

@@ -188,15 +188,23 @@ let test_bignum_gcd () =
 
 (* --- Bignum: qcheck ring laws --- *)
 
-let gen_bignum =
-  (* Random naturals up to ~256 bits, built from hex strings. *)
-  QCheck.Gen.(
-    map
-      (fun digits ->
-        let s = String.concat "" (List.map (Printf.sprintf "%x") digits) in
-        Bignum.of_hex (if s = "" then "0" else s))
-      (list_size (int_range 1 64) (int_bound 15)))
+(* Random naturals of up to 67 limbs (2,077 bits), built limb by limb with
+   [shift_left] and [add] so the conversions under test play no part.
+   One limb in three is a boundary value: zero, all ones, or next to 2^30,
+   where Algorithm D's normalising shift is 0 or 1 bit. *)
+let boundary_limbs =
+  [| 0; 1; 2; (1 lsl 30) - 1; 1 lsl 30; (1 lsl 30) + 1; (1 lsl 31) - 2; (1 lsl 31) - 1 |]
 
+let gen_limb =
+  QCheck.Gen.(frequency [ (1, oneofa boundary_limbs); (2, int_bound ((1 lsl 31) - 1)) ])
+
+let of_limbs limbs =
+  List.fold_left
+    (fun acc l -> Bignum.add (Bignum.shift_left acc 31) (Bignum.of_int l))
+    Bignum.zero limbs
+
+let gen_limbs n = QCheck.Gen.map of_limbs (QCheck.Gen.list_repeat n gen_limb)
+let gen_bignum = QCheck.Gen.(int_range 0 67 >>= gen_limbs)
 let arb_bignum = QCheck.make ~print:Bignum.to_hex gen_bignum
 
 let prop_add_comm =
@@ -268,6 +276,112 @@ let prop_mod_inverse_correct =
       | None -> not (Bignum.equal (Bignum.gcd a m) Bignum.one)
       | Some inv -> Bignum.equal (Bignum.mod_mul a inv ~m) (Bignum.rem Bignum.one m))
 
+(* --- Bignum: multi-limb division, Montgomery and conversions --- *)
+
+(* Divisors of exactly 1, 2 or k limbs under a dividend of up to 67. *)
+let arb_division =
+  let open QCheck.Gen in
+  let gen =
+    int_range 1 67 >>= fun la ->
+    oneof [ return 1; return 2; int_range 1 la ] >>= fun lb ->
+    pair (gen_limbs la) (gen_limbs lb)
+  in
+  QCheck.make ~print:(fun (a, b) -> Bignum.to_hex a ^ " / " ^ Bignum.to_hex b) gen
+
+let prop_divmod_limb_lengths =
+  QCheck.Test.make ~name:"divmod identity, divisors of 1, 2 and k limbs" ~count:500
+    arb_division (fun (a, b) ->
+      QCheck.assume (not (Bignum.is_zero b));
+      let q, r = Bignum.divmod a b in
+      Bignum.equal a (Bignum.add (Bignum.mul q b) r) && Bignum.compare r b < 0)
+
+(* Restoring binary long division, one quotient bit at a time. *)
+let reference_divmod a b =
+  let open Bignum in
+  let q = ref zero and r = ref zero in
+  for i = bit_length a - 1 downto 0 do
+    r := add (shift_left !r 1) (if test_bit a i then one else zero);
+    q := shift_left !q 1;
+    if compare !r b >= 0 then begin
+      r := sub !r b;
+      q := add !q one
+    end
+  done;
+  (!q, !r)
+
+let test_bignum_knuth_corrections () =
+  (* With 31-bit limbs, the first three make Algorithm D lower a trial
+     quotient digit after the second-limb test; the last three leave it
+     one too large, so the step must add the divisor back. *)
+  List.iter
+    (fun (a, b) ->
+      let a = Bignum.of_hex a and b = Bignum.of_hex b in
+      let q, r = Bignum.divmod a b in
+      let q', r' = reference_divmod a b in
+      check bn ("quotient " ^ Bignum.to_hex a) q' q;
+      check bn ("remainder " ^ Bignum.to_hex a) r' r)
+    [
+      ("100000005b5e3bb300000001", "100000001");
+      ("100000001fffffffc0000001", "20000000bfffffff");
+      ("85fb8456000000000000000", "200000003a7f8004");
+      ("fffffffc0000000c00000007fffffff", "7ffffffe000000060000000a079cc36");
+      ("7fffffff00000001fffffff7fffffff00000002", "ffffffff00000003");
+      ("20000000000000000000000000000003fffffff7ffffffe", "20000000800000007ffffffe");
+    ]
+
+let arb_modpow_multilimb =
+  let open QCheck.Gen in
+  let odd m = if Bignum.test_bit m 0 then m else Bignum.add m Bignum.one in
+  let gen =
+    triple gen_bignum (int_range 0 4 >>= gen_limbs) (map odd (int_range 2 67 >>= gen_limbs))
+  in
+  QCheck.make
+    ~print:(fun (b, e, m) -> String.concat " " (List.map Bignum.to_hex [ b; e; m ]))
+    gen
+
+let prop_modpow_multilimb =
+  QCheck.Test.make ~name:"mod_pow matches mod_mul square-multiply, odd multi-limb m"
+    ~count:60 arb_modpow_multilimb (fun (base, exp, m) ->
+      let acc = ref (Bignum.rem Bignum.one m) and b = ref (Bignum.rem base m) in
+      for i = 0 to Bignum.bit_length exp - 1 do
+        if Bignum.test_bit exp i then acc := Bignum.mod_mul !acc !b ~m;
+        b := Bignum.mod_mul !b !b ~m
+      done;
+      Bignum.equal !acc (Bignum.mod_pow ~base ~exp ~m))
+
+let test_bignum_conversions_all_lengths () =
+  let d = Drbg.create ~seed:"bignum-conversions" in
+  let strip c s =
+    let i = ref 0 in
+    while !i < String.length s && s.[!i] = c do incr i done;
+    String.sub s !i (String.length s - !i)
+  in
+  for len = 0 to 300 do
+    let random = Drbg.generate_string d len in
+    List.iter
+      (fun s ->
+        let v = Bignum.of_bytes_be s in
+        let expected =
+          String.fold_left
+            (fun acc c -> Bignum.add (Bignum.shift_left acc 8) (Bignum.of_int (Char.code c)))
+            Bignum.zero s
+        in
+        let label = Printf.sprintf "%d bytes %s" len (hex_of (String.sub s 0 (min 4 len))) in
+        check bn ("of_bytes_be " ^ label) expected v;
+        if len > 0 then checks ("pad_to " ^ label) s (Bignum.to_bytes_be ~pad_to:len v);
+        let minimal = match strip '\000' s with "" -> "\000" | m -> m in
+        checks ("to_bytes_be " ^ label) minimal (Bignum.to_bytes_be v);
+        let h = match strip '0' (hex_of s) with "" -> "0" | h -> h in
+        checks ("to_hex " ^ label) h (Bignum.to_hex v);
+        check bn ("of_hex " ^ label) v (Bignum.of_hex (String.uppercase_ascii (hex_of s))))
+      [
+        random;
+        String.make len '\xff';
+        (if len = 0 then "" else "\000" ^ String.sub random 1 (len - 1));
+        (if len < 2 then random else "\000\000" ^ String.sub random 2 (len - 2));
+      ]
+  done
+
 (* --- RSA --- *)
 
 let drbg () = Drbg.create ~seed:"test-crypto-rsa"
@@ -336,6 +450,56 @@ let test_miller_rabin () =
     [ 2; 3; 5; 101; 251; 257; 65537; 1000003 ];
   List.iter (fun c -> checkb (Printf.sprintf "%d composite" c) false (prime c))
     [ 1; 4; 100; 255; 65535; 1000001; 561 (* Carmichael *); 8911 ]
+
+(* Known answers captured with the bit-serial division and the plain
+   (non-CRT) private exponentiation of the earlier arithmetic: keys,
+   signatures and sealed blobs must not move. *)
+let test_rsa_known_answers () =
+  let msg = "known-answer message" in
+  let sig_digest label bits = Sha256.hex (Rsa.sign (Keyvault.get ~label ~bits) msg) in
+  checks "privacy-ca/2048 signature"
+    "3ecd54e2695ec645ef48dbfeaf1c54d50ef43af7558da350b74a0a20acaeb454"
+    (sig_digest "privacy-ca" 2048);
+  checks "srk:Broadcom/512 signature"
+    "9349dc2f9b2e030639d2853abd360ce12d7aa0e8adec0fee2af0653f4445b505"
+    (sig_digest "srk:Broadcom" 512);
+  checks "vtpm:0/512 modulus"
+    "cbdfbb88947d169497e169bd4b532215729222db4a346f38f573dea48cfecd4c23a73de9b30bc2c191c5d3de6beca5767bd9cd1dbffca0653771df837ba42b3f"
+    (Bignum.to_hex (Keyvault.get ~label:"vtpm:0" ~bits:512).Rsa.pub.Rsa.n);
+  let srk = Keyvault.get ~label:"srk:Broadcom" ~bits:512 in
+  let ct =
+    Bignum.to_bytes_be
+      (Bignum.of_hex
+         "686f9ff5f9c6c972bfaea274ddecfdb61e10b1cede30fb22c97ac16b62b70b01c1e11c95372c6976b5fd866a3804473391df6790db93665eb92561401463155c")
+  in
+  checks "sealed blob" ct
+    (Rsa.encrypt srk.Rsa.pub (Drbg.create ~seed:"known-answer") "sealed secret");
+  checkb "plaintext" true (Rsa.decrypt srk ct = Some "sealed secret")
+
+(* sign and decrypt go through CRT; the plain private exponentiation
+   c^d mod n must give the same bytes. *)
+let prop_rsa_crt_matches_plain =
+  QCheck.Test.make ~name:"CRT sign/decrypt equal mod_pow ~exp:d" ~count:8
+    QCheck.(pair small_nat (oneofl [ 384; 512 ]))
+    (fun (seed, bits) ->
+      let key = Rsa.generate ~bits (Drbg.create ~seed:(Printf.sprintf "crt-%d" seed)) in
+      let { Rsa.n; e; _ } = key.Rsa.pub in
+      let k = Rsa.key_bytes key.Rsa.pub in
+      let plain c = Bignum.to_bytes_be ~pad_to:k (Bignum.mod_pow ~base:c ~exp:key.Rsa.d ~m:n) in
+      (* EMSA-PKCS1-v1_5 with the SHA-1 DigestInfo (RFC 8017, 9.2). *)
+      let msg = Printf.sprintf "message %d" seed in
+      let t = "\x30\x21\x30\x09\x06\x05\x2b\x0e\x03\x02\x1a\x05\x00\x04\x14" ^ Sha1.digest msg in
+      let em = "\x00\x01" ^ String.make (k - String.length t - 3) '\xff' ^ "\x00" ^ t in
+      let signs_alike = Rsa.sign key msg = plain (Bignum.of_bytes_be em) in
+      let ct = Rsa.encrypt key.Rsa.pub (Drbg.create ~seed:msg) msg in
+      let em' = plain (Bignum.of_bytes_be ct) in
+      let decrypts_alike =
+        Bignum.equal (Bignum.of_bytes_be ct)
+          (Bignum.mod_pow ~base:(Bignum.of_bytes_be em') ~exp:e ~m:n)
+        && Rsa.decrypt key ct = Some msg
+        && String.sub em' (k - String.length msg) (String.length msg) = msg
+      in
+      signs_alike && decrypts_alike)
 
 (* --- DRBG --- *)
 
@@ -496,6 +660,12 @@ let () =
           QCheck_alcotest.to_alcotest prop_shift_mul;
           QCheck_alcotest.to_alcotest prop_modpow_matches_naive;
           QCheck_alcotest.to_alcotest prop_mod_inverse_correct;
+          QCheck_alcotest.to_alcotest prop_divmod_limb_lengths;
+          Alcotest.test_case "Knuth D corrections and add-back" `Quick
+            test_bignum_knuth_corrections;
+          QCheck_alcotest.to_alcotest prop_modpow_multilimb;
+          Alcotest.test_case "byte and hex conversions, 0-300 bytes" `Quick
+            test_bignum_conversions_all_lengths;
         ] );
       ( "rsa",
         [
@@ -505,6 +675,8 @@ let () =
           Alcotest.test_case "deterministic from seed" `Quick test_rsa_deterministic_from_seed;
           Alcotest.test_case "modulus size" `Quick test_rsa_modulus_size;
           Alcotest.test_case "Miller-Rabin" `Quick test_miller_rabin;
+          Alcotest.test_case "known answers" `Quick test_rsa_known_answers;
+          QCheck_alcotest.to_alcotest prop_rsa_crt_matches_plain;
         ] );
       ( "drbg",
         [
