@@ -75,6 +75,20 @@ def headline_vtpm_nonzero(cur):
     return False
 
 
+def headline_cost_protects_cheap(cur):
+    """At the top offered rate the per-tenant certificate cost budget
+    leaves the cheap tenants more goodput than FIFO admission does."""
+    rows = {(r["discipline"], r["rate_rps"]): r for r in cur["results"]}
+    top = max(r["rate_rps"] for r in cur["results"])
+    cost = rows[("cost", top)]["cheap_goodput_rps"]
+    fifo = rows[("fifo", top)]["cheap_goodput_rps"]
+    print(f"cheap goodput at {top} req/s: cost {cost} vs fifo {fifo}")
+    if cost <= fifo:
+        print("headline regression: cost budget no longer protects cheap work")
+        return True
+    return False
+
+
 def headline_churn_failover_gain(cur):
     """At the mid MTTF on proposed hardware, sealed-state failover
     recovers at least 2x the goodput of failing in place."""
@@ -112,6 +126,7 @@ def headline_autoscale_gain(cur):
 HEADLINES = {
     "backend_ordering": headline_backend_ordering,
     "vtpm_nonzero": headline_vtpm_nonzero,
+    "cost_protects_cheap": headline_cost_protects_cheap,
     "churn_failover_gain": headline_churn_failover_gain,
     "autoscale_gain": headline_autoscale_gain,
 }
