@@ -7,22 +7,14 @@
      dune exec bench/main.exe -- table1 figure3 ...
    Experiments: table1 table2 figure2 figure3 impact concurrency
                 faster-tpm io-loss multicore micro analyzer serving
-                degradation trace fleet cost *)
-
+                degradation trace fleet cost vtpm churn backend
+                autoscale *)
 open Sea_sim
 open Sea_hw
 open Sea_core
 
 let section title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
-
-(* Serving benches: the hardware a mode needs. Only proposed mode equips
-   the proposed variant; current and sfi serve on the commodity config. *)
-let serving_config_for mode config =
-  match mode with
-  | Sea_serve.Server.Current | Sea_serve.Server.Sfi -> config
-  | Sea_serve.Server.Proposed -> Machine.proposed_variant config
-
 
 (* ------------------------------------------------------------------ *)
 (* Table 1: SKINIT / SENTER latency vs PAL size                        *)
@@ -729,56 +721,167 @@ module Analyzer_throughput = struct
 end
 
 (* ------------------------------------------------------------------ *)
+(* Serving and fleet benches: the run setup, sustainability rule,      *)
+(* capacity ladder walk and JSON writer the benches below share.       *)
+(* ------------------------------------------------------------------ *)
+
+(* Smoke mode (SEA_BENCH_SMOKE=1): shorter arrivals and smaller sweeps
+   so the CI regression gate finishes in seconds. The emitted JSON is
+   fully deterministic either way — the gate compares it against the
+   checked-in smoke baseline within tolerance. *)
+let smoke = Sys.getenv_opt "SEA_BENCH_SMOKE" <> None
+let smoke_tag = if smoke then " [smoke]" else ""
+let slo_ms = 250.
+let depth = 8
+let mode_name = Backend.cli_name
+
+(* The hardware a mode needs. Only proposed mode equips the proposed
+   variant; current and sfi serve on the commodity config. *)
+let machine_config mode =
+  let config = Machine.low_fidelity Machine.hp_dc5750 in
+  match mode with
+  | Sea_serve.Server.Current | Sea_serve.Server.Sfi -> config
+  | Sea_serve.Server.Proposed -> Machine.proposed_variant config
+
+let serve ~seed ?discipline ?faults ?vtpm ~mode ~duration tenants =
+  let m =
+    Machine.create ~engine:(Engine.create ~seed ()) (machine_config mode)
+  in
+  let cfg =
+    Sea_serve.Server.config ~queue_depth:depth ?discipline ?faults ?vtpm
+      ~mode ~duration ()
+  in
+  match Sea_serve.Server.run m cfg tenants with
+  | Ok r -> r
+  | Error e -> failwith ("serve run: " ^ e)
+
+let fleet ~seed ?(depth = depth) ?policy ?churn ?autoscale ~mode ~machines
+    ~duration tenants =
+  match
+    Sea_cluster.Cluster.run ~seed ?churn ?autoscale
+      (Sea_cluster.Cluster.config ?policy ~machines ())
+      ~machine_config:(machine_config mode)
+      ~serve:(Sea_serve.Server.config ~queue_depth:depth ~mode ~duration ())
+      tenants
+  with
+  | Ok fr -> fr
+  | Error e -> failwith ("fleet run: " ^ e)
+
+(* An empty completion sample (every request shed or failed) means no
+   SLO is met, not a crash: report its p95 as infinite. *)
+let p95 (a : Sea_serve.Report.row) =
+  match Stats.percentile_opt a.Sea_serve.Report.latency_ms 95. with
+  | Some p -> p
+  | None -> Float.infinity
+
+(* A run holds when nothing failed, something completed (an empty sample
+   must never count as sustained), shed plus timed-out stay within
+   [allow offered] (none by default), p95 is within [slo_ms] when there
+   is one, and the window — the slowest machine's, for a fleet — ends by
+   1.2x the arrival duration: a window stretching far past the arrivals
+   means the backlog was only surviving on the depth bound. *)
+let holds ?slo_ms ?(allow = fun _ -> 0) ~duration window
+    (a : Sea_serve.Report.row) =
+  a.Sea_serve.Report.failed = 0
+  && a.Sea_serve.Report.completed > 0
+  && a.Sea_serve.Report.shed + a.Sea_serve.Report.timed_out
+     <= allow a.Sea_serve.Report.offered
+  && (match slo_ms with Some slo -> p95 a <= slo | None -> true)
+  && Time.compare window (Time.scale_f duration 1.2) <= 0
+
+(* One machine's rate ladder per mode. The current ladder starts high
+   enough that even the short smoke window sees arrivals: a 0 capacity
+   must mean a measured SLO violation, never an empty sample. SFI's
+   transitions are cheaper than proposed's, so its ladder reaches higher
+   before the SLO breaks. *)
+let rate_ladder = function
+  | Sea_serve.Server.Current -> [ 1.; 2.; 4. ]
+  | Sea_serve.Server.Proposed ->
+      if smoke then [ 8.; 16.; 32.; 64. ]
+      else [ 8.; 12.; 16.; 24.; 32.; 48.; 64.; 96.; 128. ]
+  | Sea_serve.Server.Sfi ->
+      if smoke then [ 8.; 16.; 32.; 64.; 96.; 128. ]
+      else [ 8.; 12.; 16.; 24.; 32.; 48.; 64.; 96.; 128.; 192.; 256. ]
+
+(* Walk the ladder upward, printing each rung's [show] line, until the
+   first rung that does not hold. Capacity is the last rung that held,
+   with its run; [None] when even the first rung fails. *)
+let capacity ~run ~ok ~show ladder =
+  let rec walk best = function
+    | [] -> best
+    | rung :: rest ->
+        let r = run rung in
+        let held = ok r in
+        show rung r held;
+        if held then walk (Some (rung, r)) rest else best
+  in
+  walk None ladder
+
+let verdict held = if held then "sustained" else "OVERLOAD"
+
+let percentiles (a : Sea_serve.Report.row) =
+  Format.asprintf "%a" Stats.pp_percentiles a.Sea_serve.Report.latency_ms
+
+(* JSON values carry their printed precision, so each file keeps the
+   digits its checked-in baseline was written with. *)
+type json =
+  Str of string | Bool of bool | Int of int | F1 of float | F2 of float | Null
+
+let write_json file ~bench header rows =
+  let value = function
+    | Str s -> Printf.sprintf "%S" s
+    | Bool b -> string_of_bool b
+    | Int i -> string_of_int i
+    | F1 x -> Printf.sprintf "%.1f" x
+    | F2 x -> Printf.sprintf "%.2f" x
+    | Null -> "null"
+  in
+  let fields kvs =
+    String.concat ", "
+      (List.map (fun (k, v) -> Printf.sprintf "%S: %s" k (value v)) kvs)
+  in
+  let oc = open_out file in
+  output_string oc "{\n";
+  List.iter
+    (fun kv -> Printf.fprintf oc "  %s,\n" (fields [ kv ]))
+    (("bench", Str bench) :: ("smoke", Bool smoke) :: header);
+  output_string oc "  \"results\": [\n";
+  let n = List.length rows in
+  List.iteri
+    (fun i row ->
+      Printf.fprintf oc "    { %s }%s\n" (fields row)
+        (if i = n - 1 then "" else ","))
+    rows;
+  output_string oc "  ]\n}\n";
+  close_out oc
+
+(* ------------------------------------------------------------------ *)
 (* Serving capacity: max sustainable request rate per hardware mode    *)
 (* ------------------------------------------------------------------ *)
 
 module Serving = struct
   let duration = Time.s 5.
-  let depth = 8
 
-  let run_at mode rate =
-    let config = Machine.low_fidelity Machine.hp_dc5750 in
-    let config = serving_config_for mode config in
-    let m =
-      Machine.create ~engine:(Engine.create ~seed:7L ()) config
-    in
-    let cfg = Sea_serve.Server.config ~queue_depth:depth ~mode ~duration () in
-    let tenants = Sea_serve.Workload.preset ~tenants:3 (`Open rate) in
-    match Sea_serve.Server.run m cfg tenants with
-    | Ok r -> r
-    | Error e -> failwith ("serving sweep: " ^ e)
-
-  (* Sustainable: nothing shed or dropped, and the backlog drained soon
-     after arrivals stopped (a window stretching far past the arrival
-     duration means the queue was only surviving on the depth bound). *)
-  let sustainable (r : Sea_serve.Report.t) =
-    let a = r.Sea_serve.Report.aggregate in
-    a.Sea_serve.Report.shed = 0
-    && a.Sea_serve.Report.timed_out = 0
-    && a.Sea_serve.Report.failed = 0
-    && Time.compare r.Sea_serve.Report.window (Time.scale_f duration 1.2) <= 0
-
+  (* No SLO: this is the raw sustainable rate. *)
   let sweep mode rates =
-    let best = ref 0. in
-    let unsustained = ref false in
-    List.iter
-      (fun rate ->
-        if not !unsustained then begin
-          let r = run_at mode rate in
-          let a = r.Sea_serve.Report.aggregate in
-          let ok = sustainable r in
-          if ok then best := rate else unsustained := true;
-          Printf.printf
-            "  %8.1f req/s  offered %5d  goodput %7.2f/s  shed %4d  %s  %s\n"
-            rate a.Sea_serve.Report.offered
-            (Sea_serve.Report.goodput_per_s r a)
-            a.Sea_serve.Report.shed
-            (Format.asprintf "%a" Stats.pp_percentiles
-               a.Sea_serve.Report.latency_ms)
-            (if ok then "sustained" else "OVERLOAD")
-        end)
-      rates;
-    !best
+    let run rate =
+      serve ~seed:7L ~mode ~duration
+        (Sea_serve.Workload.preset ~tenants:3 (`Open rate))
+    in
+    let ok (r : Sea_serve.Report.t) =
+      holds ~duration r.Sea_serve.Report.window r.Sea_serve.Report.aggregate
+    in
+    let show rate (r : Sea_serve.Report.t) held =
+      let a = r.Sea_serve.Report.aggregate in
+      Printf.printf
+        "  %8.1f req/s  offered %5d  goodput %7.2f/s  shed %4d  %s  %s\n"
+        rate a.Sea_serve.Report.offered
+        (Sea_serve.Report.goodput_per_s r a)
+        a.Sea_serve.Report.shed (percentiles a) (verdict held)
+    in
+    match capacity ~run ~ok ~show rates with
+    | Some (rate, _) -> rate
+    | None -> 0.
 
   let run () =
     section "Serving capacity: 3 tenants (ssh/ca/kv), HP dc5750, depth 8";
@@ -803,25 +906,16 @@ end
 
 module Degradation = struct
   let duration = Time.s 5.
-  let depth = 8
   let fault_rates = [ 0.; 0.01; 0.02; 0.05; 0.1 ]
 
   let run_at mode rate fault_rate =
-    let config = Machine.low_fidelity Machine.hp_dc5750 in
-    let config = serving_config_for mode config in
-    let m = Machine.create ~engine:(Engine.create ~seed:11L ()) config in
     let faults =
       if fault_rate > 0. then
         Some (Sea_fault.Fault.spec ~seed:11 ~rate:fault_rate ())
       else None
     in
-    let cfg =
-      Sea_serve.Server.config ~queue_depth:depth ~mode ~duration ?faults ()
-    in
-    let tenants = Sea_serve.Workload.preset ~tenants:3 (`Open rate) in
-    match Sea_serve.Server.run m cfg tenants with
-    | Ok r -> r
-    | Error e -> failwith ("degradation sweep: " ^ e)
+    serve ~seed:11L ?faults ~mode ~duration
+      (Sea_serve.Workload.preset ~tenants:3 (`Open rate))
 
   let print_row fault_rate (r : Sea_serve.Report.t) =
     let a = r.Sea_serve.Report.aggregate in
@@ -941,129 +1035,47 @@ end
 (* ------------------------------------------------------------------ *)
 
 module Fleet = struct
-  (* Smoke mode (SEA_BENCH_SMOKE=1): shorter arrivals and a smaller
-     sweep so the CI regression gate finishes in seconds. The emitted
-     JSON is fully deterministic either way — the gate compares it
-     against the checked-in smoke baseline within tolerance. *)
-  let smoke = Sys.getenv_opt "SEA_BENCH_SMOKE" <> None
   let duration = Time.s (if smoke then 2. else 5.)
-  let depth = 8
-  let slo_ms = 250.
   let machine_counts = if smoke then [ 1; 2 ] else [ 1; 2; 4 ]
   let seed = 7L
 
-  (* Per-machine rate ladders; the fleet is offered rate * machines so
-     capacity should scale linearly with the machine count. The current
-     ladder starts high enough that even the short smoke window sees
-     arrivals: a 0 capacity must mean a measured SLO violation, never an
-     empty sample. *)
-  let ladder = function
-    | Sea_serve.Server.Current -> [ 1.; 2.; 4. ]
-    | Sea_serve.Server.Proposed ->
-        if smoke then [ 8.; 16.; 32.; 64. ]
-        else [ 8.; 12.; 16.; 24.; 32.; 48.; 64.; 96.; 128. ]
-    | Sea_serve.Server.Sfi ->
-        (* Cheaper transitions than proposed, so the ladder reaches
-           higher before the SLO breaks. (The fleet sweep itself stays a
-           two-mode comparison; the three-way curve is the backend
-           ablation's.) *)
-        if smoke then [ 8.; 16.; 32.; 64.; 96. ]
-        else [ 8.; 12.; 16.; 24.; 32.; 48.; 64.; 96.; 128.; 192. ]
-
-  let run_at mode machines per_machine_rate =
-    let cfg = Sea_cluster.Cluster.config ~machines () in
-    let machine_config = Machine.low_fidelity Machine.hp_dc5750 in
-    let machine_config = serving_config_for mode machine_config in
-    let serve =
-      Sea_serve.Server.config ~queue_depth:depth ~mode ~duration ()
-    in
-    let tenants =
-      Sea_serve.Workload.preset ~tenants:(machines * 3)
-        (`Open (per_machine_rate *. float_of_int machines))
-    in
-    match Sea_cluster.Cluster.run ~seed cfg ~machine_config ~serve tenants with
-    | Ok fr -> fr
-    | Error e -> failwith ("fleet sweep: " ^ e)
-
-  (* Sustainable: nothing shed, timed out or failed anywhere in the
-     fleet, fleet p95 within the SLO, and the slowest machine's window
-     not stretching far past the arrival duration (a long tail means the
-     backlog was only surviving on the depth bound). *)
-  let sustainable (fr : Sea_cluster.Fleet_report.t) =
-    let f = fr.Sea_cluster.Fleet_report.fleet in
-    f.Sea_serve.Report.shed = 0
-    && f.Sea_serve.Report.timed_out = 0
-    && f.Sea_serve.Report.failed = 0
-    && f.Sea_serve.Report.completed > 0
-    && (match Stats.percentile_opt f.Sea_serve.Report.latency_ms 95. with
-       | Some p -> p <= slo_ms
-       | None -> false)
-    && Time.compare fr.Sea_cluster.Fleet_report.window
-         (Time.scale_f duration 1.2)
-       <= 0
-
-  (* Walk the ladder until the first unsustainable rung; capacity is the
-     last sustained fleet rate, goodput the completions/s measured at
-     it. *)
+  (* The ladder is per machine and the fleet is offered rate * machines,
+     so capacity should scale linearly with the machine count. Capacity
+     is the last sustained fleet rate, goodput the completions/s
+     measured at it. *)
   let sweep mode machines =
-    let best = ref None in
-    let unsustained = ref false in
-    List.iter
-      (fun rate ->
-        if not !unsustained then begin
-          let fr = run_at mode machines rate in
-          let f = fr.Sea_cluster.Fleet_report.fleet in
-          let ok = sustainable fr in
-          let fleet_rate = rate *. float_of_int machines in
-          if ok then
-            best := Some (fleet_rate, Sea_cluster.Fleet_report.goodput_per_s fr)
-          else unsustained := true;
-          Printf.printf
-            "  %8.1f req/s fleet  offered %5d  goodput %7.2f/s  shed %4d  \
-             %s  %s\n"
-            fleet_rate f.Sea_serve.Report.offered
-            (Sea_cluster.Fleet_report.goodput_per_s fr)
-            f.Sea_serve.Report.shed
-            (Format.asprintf "%a" Stats.pp_percentiles
-               f.Sea_serve.Report.latency_ms)
-            (if ok then "sustained" else "OVERLOAD")
-        end)
-      (ladder mode);
-    match !best with Some (c, g) -> (c, g) | None -> (0., 0.)
-
-  let mode_name = Backend.cli_name
+    let fleet_rate rate = rate *. float_of_int machines in
+    let run rate =
+      fleet ~seed ~mode ~machines ~duration
+        (Sea_serve.Workload.preset ~tenants:(machines * 3)
+           (`Open (fleet_rate rate)))
+    in
+    let ok (fr : Sea_cluster.Fleet_report.t) =
+      holds ~slo_ms ~duration fr.Sea_cluster.Fleet_report.window
+        fr.Sea_cluster.Fleet_report.fleet
+    in
+    let show rate (fr : Sea_cluster.Fleet_report.t) held =
+      let f = fr.Sea_cluster.Fleet_report.fleet in
+      Printf.printf
+        "  %8.1f req/s fleet  offered %5d  goodput %7.2f/s  shed %4d  \
+         %s  %s\n"
+        (fleet_rate rate) f.Sea_serve.Report.offered
+        (Sea_cluster.Fleet_report.goodput_per_s fr)
+        f.Sea_serve.Report.shed (percentiles f) (verdict held)
+    in
+    match capacity ~run ~ok ~show (rate_ladder mode) with
+    | Some (rate, fr) ->
+        (fleet_rate rate, Sea_cluster.Fleet_report.goodput_per_s fr)
+    | None -> (0., 0.)
 
   let json_file = "BENCH_fleet.json"
-
-  let write_json results =
-    let oc = open_out json_file in
-    Printf.fprintf oc
-      "{\n\
-      \  \"bench\": \"fleet-capacity\",\n\
-      \  \"smoke\": %b,\n\
-      \  \"slo_p95_ms\": %.1f,\n\
-      \  \"seed\": %Ld,\n\
-      \  \"results\": [\n"
-      smoke slo_ms seed;
-    let n = List.length results in
-    List.iteri
-      (fun i (mode, machines, capacity, goodput) ->
-        Printf.fprintf oc
-          "    { \"mode\": %S, \"machines\": %d, \"capacity_rps\": %.2f, \
-           \"goodput_rps\": %.2f }%s\n"
-          (mode_name mode) machines capacity goodput
-          (if i = n - 1 then "" else ","))
-      results;
-    Printf.fprintf oc "  ]\n}\n";
-    close_out oc
 
   let run () =
     section
       (Printf.sprintf
          "Fleet capacity: req/s at a p95 <= %.0f ms SLO (3 tenants/machine, \
           HP dc5750, depth %d)%s"
-         slo_ms depth
-         (if smoke then " [smoke]" else ""));
+         slo_ms depth smoke_tag);
     let results =
       List.concat_map
         (fun mode ->
@@ -1075,6 +1087,8 @@ module Fleet = struct
               let capacity, goodput = sweep mode machines in
               (mode, machines, capacity, goodput))
             machine_counts)
+        (* A two-mode comparison; the three-way curve is the backend
+           ablation's. *)
         [ Sea_serve.Server.Current; Sea_serve.Server.Proposed ]
     in
     Printf.printf "\n%-10s %9s %14s %14s\n" "mode" "machines" "capacity r/s"
@@ -1084,7 +1098,17 @@ module Fleet = struct
         Printf.printf "%-10s %9d %14.2f %14.2f\n" (mode_name mode) machines
           capacity goodput)
       results;
-    write_json results;
+    write_json json_file ~bench:"fleet-capacity"
+      [ ("slo_p95_ms", F1 slo_ms); ("seed", Int (Int64.to_int seed)) ]
+      (List.map
+         (fun (mode, machines, capacity, goodput) ->
+           [
+             ("mode", Str (mode_name mode));
+             ("machines", Int machines);
+             ("capacity_rps", F2 capacity);
+             ("goodput_rps", F2 goodput);
+           ])
+         results);
     Printf.printf
       "\nToday's hardware cannot meet the %.0f ms p95 SLO at any offered\n\
        rate — every request is a multi-second full-SKINIT session — so its\n\
@@ -1103,9 +1127,7 @@ end
 (* ------------------------------------------------------------------ *)
 
 module Cost = struct
-  let smoke = Sys.getenv_opt "SEA_BENCH_SMOKE" <> None
   let duration = Time.s (if smoke then 2. else 5.)
-  let depth = 8
   let seed = 7L
   let budget = 4_000_000
   let rates = if smoke then [ 64.; 512. ] else [ 32.; 64.; 128.; 256.; 512. ]
@@ -1132,17 +1154,8 @@ module Cost = struct
       ]
 
   let run_at discipline rate =
-    let config =
-      Machine.proposed_variant (Machine.low_fidelity Machine.hp_dc5750)
-    in
-    let m = Machine.create ~engine:(Engine.create ~seed ()) config in
-    let cfg =
-      Sea_serve.Server.config ~queue_depth:depth ~discipline
-        ~mode:Sea_serve.Server.Proposed ~duration ()
-    in
-    match Sea_serve.Server.run m cfg (tenants rate) with
-    | Ok r -> r
-    | Error e -> failwith ("cost sweep: " ^ e)
+    serve ~seed ~discipline ~mode:Sea_serve.Server.Proposed ~duration
+      (tenants rate)
 
   let cheap_goodput (r : Sea_serve.Report.t) =
     List.fold_left
@@ -1162,34 +1175,11 @@ module Cost = struct
 
   let json_file = "BENCH_cost.json"
 
-  let write_json results =
-    let oc = open_out json_file in
-    Printf.fprintf oc
-      "{\n\
-      \  \"bench\": \"cost-goodput\",\n\
-      \  \"smoke\": %b,\n\
-      \  \"budget_us\": %d,\n\
-      \  \"seed\": %Ld,\n\
-      \  \"results\": [\n"
-      smoke budget seed;
-    let n = List.length results in
-    List.iteri
-      (fun i (disc, rate, goodput, cheap, shed, cost_shed) ->
-        Printf.fprintf oc
-          "    { \"discipline\": %S, \"rate_rps\": %.1f, \"goodput_rps\": \
-           %.2f, \"cheap_goodput_rps\": %.2f, \"shed\": %d, \"cost_shed\": \
-           %d }%s\n"
-          disc rate goodput cheap shed cost_shed
-          (if i = n - 1 then "" else ","))
-      results;
-    Printf.fprintf oc "  ]\n}\n";
-    close_out oc
-
   let run () =
     section
       (Printf.sprintf
          "Cost-aware admission: goodput under a mixed-cost workload%s"
-         (if smoke then " [smoke]" else ""));
+         smoke_tag);
     Printf.printf
       "4 SSH tenants (cheap, 2/3 of load) + CA + KV (certificate-expensive),\n\
        proposed hardware, depth %d: FIFO vs a %d us/tenant cost budget.\n\n"
@@ -1207,9 +1197,7 @@ module Cost = struct
                 "  %-6s %8.1f req/s  goodput %7.2f/s  cheap %7.2f/s  shed \
                  %4d  cost shed %4d  %s\n"
                 name rate g cg a.Sea_serve.Report.shed
-                r.Sea_serve.Report.cost_shed
-                (Format.asprintf "%a" Stats.pp_percentiles
-                   a.Sea_serve.Report.latency_ms);
+                r.Sea_serve.Report.cost_shed (percentiles a);
               (name, rate, g, cg, a.Sea_serve.Report.shed,
                r.Sea_serve.Report.cost_shed))
             disciplines)
@@ -1222,7 +1210,19 @@ module Cost = struct
           if name = disc && rate = top then cg else acc)
         0. results
     in
-    write_json results;
+    write_json json_file ~bench:"cost-goodput"
+      [ ("budget_us", Int budget); ("seed", Int (Int64.to_int seed)) ]
+      (List.map
+         (fun (disc, rate, goodput, cheap, shed, cost_shed) ->
+           [
+             ("discipline", Str disc);
+             ("rate_rps", F1 rate);
+             ("goodput_rps", F2 goodput);
+             ("cheap_goodput_rps", F2 cheap);
+             ("shed", Int shed);
+             ("cost_shed", Int cost_shed);
+           ])
+         results);
     Printf.printf
       "\nAt the top rate the cost budget keeps the cheap tenants at\n\
        %.2f completions/s vs %.2f under FIFO: expensive requests beyond\n\
@@ -1239,11 +1239,8 @@ end
 (* ------------------------------------------------------------------ *)
 
 module Vtpm_density = struct
-  let smoke = Sys.getenv_opt "SEA_BENCH_SMOKE" <> None
   let duration = Time.s (if smoke then 5. else 10.)
-  let depth = 8
   let seed = 7L
-  let slo_p95_ms = 250.
 
   (* Light per-tenant load: the question is how many tenants one machine
      holds at the SLO, not how hard one tenant can push. *)
@@ -1258,94 +1255,39 @@ module Vtpm_density = struct
       ("proposed+vtpm", Sea_serve.Server.Proposed, true);
     ]
 
-  let run_at mode ~vtpm n =
-    let config = Machine.low_fidelity Machine.hp_dc5750 in
-    let config = serving_config_for mode config in
-    let m = Machine.create ~engine:(Engine.create ~seed ()) config in
-    let cfg =
-      Sea_serve.Server.config ~queue_depth:depth
-        ?vtpm:(if vtpm then Some n else None)
-        ~mode ~duration ()
-    in
-    let tenants =
-      Sea_serve.Workload.preset ~tenants:n
-        (`Open (per_tenant_rps *. float_of_int n))
-    in
-    match Sea_serve.Server.run m cfg tenants with
-    | Ok r -> r
-    | Error e -> failwith ("vtpm density sweep: " ^ e)
-
-  let p95 (r : Sea_serve.Report.t) =
-    (* An empty completion window (every request shed or failed) means
-       the SLO is unmeetable, not a crash: report it as infinite. *)
-    match
-      Stats.percentile_opt
-        r.Sea_serve.Report.aggregate.Sea_serve.Report.latency_ms 95.
-    with
-    | Some p -> p
-    | None -> Float.infinity
-
-  let meets_slo (r : Sea_serve.Report.t) =
-    let a = r.Sea_serve.Report.aggregate in
-    p95 r <= slo_p95_ms
-    && a.Sea_serve.Report.shed = 0
-    && a.Sea_serve.Report.timed_out = 0
-    && a.Sea_serve.Report.failed = 0
-
-  (* Walk the tenant ladder upward until the SLO first breaks; capacity
-     is the last rung that held it (0 if even one tenant breaks). *)
+  (* Capacity is the last tenant count that held the SLO (0 if even one
+     tenant breaks it). *)
   let sweep mode ~vtpm =
-    let rec go best = function
-      | [] -> best
-      | n :: rest ->
-          let r = run_at mode ~vtpm n in
-          let a = r.Sea_serve.Report.aggregate in
-          let ok = meets_slo r in
-          Printf.printf
-            "  %4d tenants  %7.2f req/s offered  goodput %7.2f/s  p95 \
-             %8.2f ms  %s\n"
-            n
-            (per_tenant_rps *. float_of_int n)
-            (Sea_serve.Report.goodput_per_s r a)
-            (p95 r)
-            (if ok then "within SLO" else "SLO MISS");
-          if ok then
-            go (Some (n, Sea_serve.Report.goodput_per_s r a, p95 r)) rest
-          else best
+    let offered n = per_tenant_rps *. float_of_int n in
+    let run n =
+      serve ~seed
+        ?vtpm:(if vtpm then Some n else None)
+        ~mode ~duration
+        (Sea_serve.Workload.preset ~tenants:n (`Open (offered n)))
     in
-    go None ladder
+    let ok (r : Sea_serve.Report.t) =
+      holds ~slo_ms ~duration r.Sea_serve.Report.window
+        r.Sea_serve.Report.aggregate
+    in
+    let show n (r : Sea_serve.Report.t) held =
+      let a = r.Sea_serve.Report.aggregate in
+      Printf.printf
+        "  %4d tenants  %7.2f req/s offered  goodput %7.2f/s  p95 \
+         %8.2f ms  %s\n"
+        n (offered n)
+        (Sea_serve.Report.goodput_per_s r a)
+        (p95 a)
+        (if held then "within SLO" else "SLO MISS")
+    in
+    capacity ~run ~ok ~show ladder
 
   let json_file = "BENCH_vtpm.json"
-
-  let write_json results =
-    let oc = open_out json_file in
-    Printf.fprintf oc
-      "{\n\
-      \  \"bench\": \"vtpm-density\",\n\
-      \  \"smoke\": %b,\n\
-      \  \"slo_p95_ms\": %.1f,\n\
-      \  \"per_tenant_rps\": %.2f,\n\
-      \  \"seed\": %Ld,\n\
-      \  \"results\": [\n"
-      smoke slo_p95_ms per_tenant_rps seed;
-    let n = List.length results in
-    List.iteri
-      (fun i (config, tenants, rps, p95) ->
-        Printf.fprintf oc
-          "    { \"config\": %S, \"slo_tenants\": %d, \"capacity_rps\": \
-           %.2f, \"p95_ms\": %.2f }%s\n"
-          config tenants rps p95
-          (if i = n - 1 then "" else ","))
-      results;
-    Printf.fprintf oc "  ]\n}\n";
-    close_out oc
 
   let run () =
     section
       (Printf.sprintf
-         "Tenant density: tenants per machine at a %.0f ms p95 SLO%s"
-         slo_p95_ms
-         (if smoke then " [smoke]" else ""));
+         "Tenant density: tenants per machine at a %.0f ms p95 SLO%s" slo_ms
+         smoke_tag);
     Printf.printf
       "HP dc5750, %.2f req/s per tenant, depth %d: how many tenants one\n\
        machine holds before p95 crosses the SLO, on each hardware mode\n\
@@ -1356,11 +1298,27 @@ module Vtpm_density = struct
         (fun (name, mode, vtpm) ->
           Printf.printf "\n%s:\n" name;
           match sweep mode ~vtpm with
-          | Some (n, rps, p95) -> (name, n, rps, p95)
+          | Some (n, r) ->
+              let a = r.Sea_serve.Report.aggregate in
+              (name, n, Sea_serve.Report.goodput_per_s r a, p95 a)
           | None -> (name, 0, 0., 0.))
         configs
     in
-    write_json results;
+    write_json json_file ~bench:"vtpm-density"
+      [
+        ("slo_p95_ms", F1 slo_ms);
+        ("per_tenant_rps", F2 per_tenant_rps);
+        ("seed", Int (Int64.to_int seed));
+      ]
+      (List.map
+         (fun (config, tenants, rps, p95) ->
+           [
+             ("config", Str config);
+             ("slo_tenants", Int tenants);
+             ("capacity_rps", F2 rps);
+             ("p95_ms", F2 p95);
+           ])
+         results);
     let capacity name =
       List.fold_left
         (fun acc (n, t, _, _) -> if n = name then t else acc)
@@ -1389,7 +1347,6 @@ end
 (* ------------------------------------------------------------------ *)
 
 module Churn = struct
-  let smoke = Sys.getenv_opt "SEA_BENCH_SMOKE" <> None
   let duration_s = if smoke then 6. else 8.
   let machines = 8
   let per_machine_rate = 8.
@@ -1399,27 +1356,15 @@ module Churn = struct
   let churn_seed = 1
 
   let run_at mode ~mttf_s ~failover =
-    let cfg = Sea_cluster.Cluster.config ~machines () in
-    let machine_config = Machine.low_fidelity Machine.hp_dc5750 in
-    let machine_config = serving_config_for mode machine_config in
-    let serve =
-      Sea_serve.Server.config ~queue_depth:16 ~mode
-        ~duration:(Time.s duration_s) ()
-    in
-    let tenants =
-      Sea_serve.Workload.preset ~tenants:(machines * 3)
-        (`Open (per_machine_rate *. float_of_int machines))
-    in
     let plan =
       Sea_fault.Machine_fault.spec ~mttf:(Time.s mttf_s)
         ~mttr:(Time.s mttr_s) ~seed:churn_seed ()
     in
-    let churn = Sea_cluster.Cluster.churn ~failover plan () in
-    match
-      Sea_cluster.Cluster.run ~seed ~churn cfg ~machine_config ~serve tenants
-    with
-    | Ok fr -> fr
-    | Error e -> failwith ("churn sweep: " ^ e)
+    fleet ~seed ~depth:16
+      ~churn:(Sea_cluster.Cluster.churn ~failover plan ())
+      ~mode ~machines ~duration:(Time.s duration_s)
+      (Sea_serve.Workload.preset ~tenants:(machines * 3)
+         (`Open (per_machine_rate *. float_of_int machines)))
 
   (* Goodput over the configured arrival window, not the report window:
      a failover-off fleet stops serving early (its machines' last epochs
@@ -1429,47 +1374,7 @@ module Churn = struct
     float_of_int fr.Sea_cluster.Fleet_report.fleet.Sea_serve.Report.completed
     /. duration_s
 
-  let p95 (fr : Sea_cluster.Fleet_report.t) =
-    match
-      Stats.percentile_opt
-        fr.Sea_cluster.Fleet_report.fleet.Sea_serve.Report.latency_ms 95.
-    with
-    | Some p -> p
-    | None -> Float.infinity
-
-  let mode_name = Backend.cli_name
-
   let json_file = "BENCH_churn.json"
-
-  let write_json results =
-    let oc = open_out json_file in
-    Printf.fprintf oc
-      "{\n\
-      \  \"bench\": \"churn-degradation\",\n\
-      \  \"smoke\": %b,\n\
-      \  \"machines\": %d,\n\
-      \  \"mttr_s\": %.2f,\n\
-      \  \"seed\": %Ld,\n\
-      \  \"results\": [\n"
-      smoke machines mttr_s seed;
-    let n = List.length results in
-    List.iteri
-      (fun i (mode, mttf_s, failover, fr) ->
-        let c = Option.get fr.Sea_cluster.Fleet_report.churn in
-        Printf.fprintf oc
-          "    { \"mode\": %S, \"mttf_s\": %.2f, \"failover\": %b, \
-           \"goodput_rps\": %.2f, \"p95_ms\": %s, \"lost\": %d, \
-           \"migrations_warm\": %d, \"migrations_cold\": %d }%s\n"
-          (mode_name mode) mttf_s failover (goodput fr)
-          (let p = p95 fr in
-           if Float.is_finite p then Printf.sprintf "%.2f" p else "null")
-          c.Sea_cluster.Fleet_report.lost_requests
-          c.Sea_cluster.Fleet_report.migrations
-          c.Sea_cluster.Fleet_report.cold_restarts
-          (if i = n - 1 then "" else ","))
-      results;
-    Printf.fprintf oc "  ]\n}\n";
-    close_out oc
 
   let run () =
     section
@@ -1478,7 +1383,7 @@ module Churn = struct
           machines, MTTR %.0f s, %.0f req/s fleet)%s"
          machines mttr_s
          (per_machine_rate *. float_of_int machines)
-         (if smoke then " [smoke]" else ""));
+         smoke_tag);
     let results =
       List.concat_map
         (fun mode ->
@@ -1501,13 +1406,34 @@ module Churn = struct
           (mode_name mode) mttf_s
           (if failover then "on" else "off")
           (goodput fr)
-          (let p = p95 fr in
+          (let p = p95 fr.Sea_cluster.Fleet_report.fleet in
            if Float.is_finite p then Printf.sprintf "%.2f" p else "n/a")
           c.Sea_cluster.Fleet_report.lost_requests
           c.Sea_cluster.Fleet_report.migrations
           c.Sea_cluster.Fleet_report.cold_restarts)
       results;
-    write_json results;
+    write_json json_file ~bench:"churn-degradation"
+      [
+        ("machines", Int machines);
+        ("mttr_s", F2 mttr_s);
+        ("seed", Int (Int64.to_int seed));
+      ]
+      (List.map
+         (fun (mode, mttf_s, failover, fr) ->
+           let c = Option.get fr.Sea_cluster.Fleet_report.churn in
+           [
+             ("mode", Str (mode_name mode));
+             ("mttf_s", F2 mttf_s);
+             ("failover", Bool failover);
+             ("goodput_rps", F2 (goodput fr));
+             ( "p95_ms",
+               let p = p95 fr.Sea_cluster.Fleet_report.fleet in
+               if Float.is_finite p then F2 p else Null );
+             ("lost", Int c.Sea_cluster.Fleet_report.lost_requests);
+             ("migrations_warm", Int c.Sea_cluster.Fleet_report.migrations);
+             ("migrations_cold", Int c.Sea_cluster.Fleet_report.cold_restarts);
+           ])
+         results);
     (* The headline the CI gate re-checks from the JSON: failover vs
        fail-in-place at the sweep's middle MTTF on proposed hardware. *)
     let mid = List.nth mttfs (List.length mttfs / 2) in
@@ -1546,115 +1472,50 @@ end
 (* ------------------------------------------------------------------ *)
 
 module Backend_ablation = struct
-  let smoke = Sys.getenv_opt "SEA_BENCH_SMOKE" <> None
   let duration = Time.s (if smoke then 2. else 5.)
-  let depth = 8
-  let slo_ms = 250.
 
   (* Single-kind preset tenants: the tenant count IS the resident
      identity count. 4 fits the 8-sePCR bank; 12 overflows it. *)
   let tenant_counts = [ 4; 12 ]
   let seed = 7L
 
-  let ladder = function
-    | Sea_serve.Server.Current -> [ 1.; 2.; 4. ]
-    | Sea_serve.Server.Proposed ->
-        if smoke then [ 8.; 16.; 32.; 64. ]
-        else [ 8.; 12.; 16.; 24.; 32.; 48.; 64.; 96.; 128. ]
-    | Sea_serve.Server.Sfi ->
-        if smoke then [ 8.; 16.; 32.; 64.; 96.; 128. ]
-        else [ 8.; 12.; 16.; 24.; 32.; 48.; 64.; 96.; 128.; 192.; 256. ]
-
-  let run_at mode tenants rate =
-    let config = Machine.low_fidelity Machine.hp_dc5750 in
-    let config = serving_config_for mode config in
-    let m = Machine.create ~engine:(Engine.create ~seed ()) config in
-    let cfg = Sea_serve.Server.config ~queue_depth:depth ~mode ~duration () in
-    let ts = Sea_serve.Workload.preset ~tenants (`Open rate) in
-    match Sea_serve.Server.run m cfg ts with
-    | Ok r -> r
-    | Error e -> failwith ("backend sweep: " ^ e)
-
-  (* Sustainable: nothing shed, timed out or failed, aggregate p95
-     within the SLO, and the backlog drained soon after arrivals
-     stopped. *)
-  let sustainable (r : Sea_serve.Report.t) =
-    let a = r.Sea_serve.Report.aggregate in
-    a.Sea_serve.Report.shed = 0
-    && a.Sea_serve.Report.timed_out = 0
-    && a.Sea_serve.Report.failed = 0
-    && a.Sea_serve.Report.completed > 0
-    && (match Stats.percentile_opt a.Sea_serve.Report.latency_ms 95. with
-       | Some p -> p <= slo_ms
-       | None -> false)
-    && Time.compare r.Sea_serve.Report.window (Time.scale_f duration 1.2) <= 0
-
-  (* Walk the ladder to the first unsustainable rung; remember the
-     resident-pool counters measured at the capacity rung. *)
+  (* Remember the resident-pool counters measured at the capacity
+     rung. *)
   let sweep mode tenants =
-    let best = ref None in
-    let unsustained = ref false in
-    List.iter
-      (fun rate ->
-        if not !unsustained then begin
-          let r = run_at mode tenants rate in
-          let a = r.Sea_serve.Report.aggregate in
-          let ok = sustainable r in
-          if ok then
-            best :=
-              Some
-                ( rate,
-                  Sea_serve.Report.goodput_per_s r a,
-                  r.Sea_serve.Report.evictions,
-                  r.Sea_serve.Report.sepcr_waits )
-          else unsustained := true;
-          Printf.printf
-            "  %8.1f req/s  offered %5d  goodput %7.2f/s  evict %4d  \
-             waits %4d  %s  %s\n"
-            rate a.Sea_serve.Report.offered
-            (Sea_serve.Report.goodput_per_s r a)
-            r.Sea_serve.Report.evictions r.Sea_serve.Report.sepcr_waits
-            (Format.asprintf "%a" Stats.pp_percentiles
-               a.Sea_serve.Report.latency_ms)
-            (if ok then "sustained" else "OVERLOAD")
-        end)
-      (ladder mode);
-    match !best with Some r -> r | None -> (0., 0., 0, 0)
-
-  let mode_name = Backend.cli_name
+    let run rate =
+      serve ~seed ~mode ~duration
+        (Sea_serve.Workload.preset ~tenants (`Open rate))
+    in
+    let ok (r : Sea_serve.Report.t) =
+      holds ~slo_ms ~duration r.Sea_serve.Report.window
+        r.Sea_serve.Report.aggregate
+    in
+    let show rate (r : Sea_serve.Report.t) held =
+      let a = r.Sea_serve.Report.aggregate in
+      Printf.printf
+        "  %8.1f req/s  offered %5d  goodput %7.2f/s  evict %4d  \
+         waits %4d  %s  %s\n"
+        rate a.Sea_serve.Report.offered
+        (Sea_serve.Report.goodput_per_s r a)
+        r.Sea_serve.Report.evictions r.Sea_serve.Report.sepcr_waits
+        (percentiles a) (verdict held)
+    in
+    match capacity ~run ~ok ~show (rate_ladder mode) with
+    | Some (rate, r) ->
+        ( rate,
+          Sea_serve.Report.goodput_per_s r r.Sea_serve.Report.aggregate,
+          r.Sea_serve.Report.evictions,
+          r.Sea_serve.Report.sepcr_waits )
+    | None -> (0., 0., 0, 0)
 
   let json_file = "BENCH_backend.json"
-
-  let write_json results =
-    let oc = open_out json_file in
-    Printf.fprintf oc
-      "{\n\
-      \  \"bench\": \"backend-ablation\",\n\
-      \  \"smoke\": %b,\n\
-      \  \"slo_p95_ms\": %.1f,\n\
-      \  \"seed\": %Ld,\n\
-      \  \"results\": [\n"
-      smoke slo_ms seed;
-    let n = List.length results in
-    List.iteri
-      (fun i (mode, tenants, capacity, goodput, evictions, waits) ->
-        Printf.fprintf oc
-          "    { \"mode\": %S, \"tenants\": %d, \"capacity_rps\": %.2f, \
-           \"goodput_rps\": %.2f, \"evictions\": %d, \"sepcr_waits\": %d \
-           }%s\n"
-          (mode_name mode) tenants capacity goodput evictions waits
-          (if i = n - 1 then "" else ","))
-      results;
-    Printf.fprintf oc "  ]\n}\n";
-    close_out oc
 
   let run () =
     section
       (Printf.sprintf
          "Backend ablation: capacity at a p95 <= %.0f ms SLO (one HP \
           dc5750, depth %d)%s"
-         slo_ms depth
-         (if smoke then " [smoke]" else ""));
+         slo_ms depth smoke_tag);
     let results =
       List.concat_map
         (fun tenants ->
@@ -1675,7 +1536,19 @@ module Backend_ablation = struct
         Printf.printf "%-10s %8d %14.2f %14.2f %10d %12d\n" (mode_name mode)
           tenants capacity goodput evictions waits)
       results;
-    write_json results;
+    write_json json_file ~bench:"backend-ablation"
+      [ ("slo_p95_ms", F1 slo_ms); ("seed", Int (Int64.to_int seed)) ]
+      (List.map
+         (fun (mode, tenants, capacity, goodput, evictions, waits) ->
+           [
+             ("mode", Str (mode_name mode));
+             ("tenants", Int tenants);
+             ("capacity_rps", F2 capacity);
+             ("goodput_rps", F2 goodput);
+             ("evictions", Int evictions);
+             ("sepcr_waits", Int waits);
+           ])
+         results);
     let capacity_of k t =
       List.fold_left
         (fun acc (mode, tenants, c, _, _, _) ->
@@ -1711,11 +1584,8 @@ end
 (* ------------------------------------------------------------------ *)
 
 module Autoscale_bench = struct
-  let smoke = Sys.getenv_opt "SEA_BENCH_SMOKE" <> None
   let duration = Time.s (if smoke then 4. else 10.)
-  let slo_ms = 250.
   let machines = 4
-  let depth = 8
   let seed = 11L
   let tenant_count = 12
   let spike = 6.
@@ -1723,8 +1593,10 @@ module Autoscale_bench = struct
   (* The controller ticks 16 times per window: weight halving takes a
      few consecutive hot ticks to walk a machine down from full weight,
      so the tick period bounds how much of the crowd's lifetime is
-     burned reacting rather than rebalanced — but every tick is also an
-     epoch cut (cold PAL caches), so over-ticking taxes all policies.
+     burned reacting rather than rebalanced. Each tick is an epoch
+     barrier that pauses the live servers rather than restarting them,
+     so ticking more often costs no PAL warmth, but each tick samples
+     fewer arrivals per machine and so reads the load more noisily.
      The crowd concentration puts the hot machine at ~3.2x the fleet
      mean while the mere 5-of-12-tenants steady imbalance is ~1.7x; a
      2x threshold fires on the former and sleeps through the latter,
@@ -1783,115 +1655,46 @@ module Autoscale_bench = struct
           (Sea_serve.Workload.Open_loop
              { rate_per_s = total_rate /. float_of_int tenant_count }))
 
-  let run_at policy total_rate =
-    let cfg =
-      Sea_cluster.Cluster.config ~machines ~policy:Sea_cluster.Router.Hash_tenant
-        ()
-    in
-    let machine_config = Machine.low_fidelity Machine.hp_dc5750 in
-    let machine_config =
-      serving_config_for Sea_serve.Server.Proposed machine_config
-    in
-    let serve =
-      Sea_serve.Server.config ~queue_depth:depth
-        ~mode:Sea_serve.Server.Proposed ~duration ()
-    in
-    let autoscale =
-      Sea_cluster.Autoscale.config ~policy ~interval ~hot_threshold ()
-    in
-    match
-      Sea_cluster.Cluster.run ~seed ~autoscale cfg ~machine_config ~serve
-        (tenants total_rate)
-    with
-    | Ok fr -> fr
-    | Error e -> failwith ("autoscale sweep: " ^ e)
-
-  (* Sustainable at a rung: nothing failed, fleet p95 within the SLO,
-     the slowest machine's window not stretching far past the arrival
-     window, and shed bounded by 5% of offered — the detection lag
-     between a crowd's onset and the controller's next tick costs a
-     burst of queue-overflow sheds even when the rebalanced fleet then
-     absorbs the crowd easily, while a static fleet's hot machine sheds
-     for the crowd's whole lifetime and blows far past 5%. *)
-  let sustainable (fr : Sea_cluster.Fleet_report.t) =
-    let f = fr.Sea_cluster.Fleet_report.fleet in
-    f.Sea_serve.Report.failed = 0
-    && f.Sea_serve.Report.completed > 0
-    && f.Sea_serve.Report.shed + f.Sea_serve.Report.timed_out
-       <= f.Sea_serve.Report.offered / 20
-    && (match Stats.percentile_opt f.Sea_serve.Report.latency_ms 95. with
-       | Some p -> p <= slo_ms
-       | None -> false)
-    && Time.compare fr.Sea_cluster.Fleet_report.window
-         (Time.scale_f duration 1.2)
-       <= 0
-
   let ladder =
     if smoke then [ 60.; 100.; 150.; 200.; 300.; 400.; 550. ]
     else [ 60.; 100.; 150.; 200.; 300.; 400.; 550.; 700.; 900. ]
 
-  (* Walk the ladder to the first unsustainable rung; capacity is the
-     last sustained total base rate. Keep the last report for the move
-     counters. *)
+  (* Capacity is the last sustained total base rate; its report carries
+     the move counters. Shed plus timed-out may reach 5% of offered:
+     the detection lag between a crowd's onset and the controller's
+     next tick costs a burst of queue-overflow sheds even when the
+     rebalanced fleet then absorbs the crowd easily, while a static
+     fleet's hot machine sheds for the crowd's whole lifetime and blows
+     far past 5%. *)
   let sweep policy =
-    let best = ref None in
-    let unsustained = ref false in
-    List.iter
-      (fun rate ->
-        if not !unsustained then begin
-          let fr = run_at policy rate in
-          let f = fr.Sea_cluster.Fleet_report.fleet in
-          let ok = sustainable fr in
-          if ok then
-            best := Some (rate, Sea_cluster.Fleet_report.goodput_per_s fr, fr)
-          else unsustained := true;
-          let hot_events, moved =
-            match fr.Sea_cluster.Fleet_report.autoscale with
-            | Some a ->
-                ( a.Sea_cluster.Fleet_report.hot_events,
-                  a.Sea_cluster.Fleet_report.tenants_moved )
-            | None -> (0, 0)
-          in
-          Printf.printf
-            "  %8.1f req/s base  offered %5d  goodput %7.2f/s  shed %4d  \
-             hot %2d  moved %2d  %s  %s\n"
-            rate f.Sea_serve.Report.offered
-            (Sea_cluster.Fleet_report.goodput_per_s fr)
-            f.Sea_serve.Report.shed hot_events moved
-            (Format.asprintf "%a" Stats.pp_percentiles
-               f.Sea_serve.Report.latency_ms)
-            (if ok then "sustained" else "OVERLOAD")
-        end)
-      ladder;
-    !best
+    let run total_rate =
+      fleet ~seed ~policy:Sea_cluster.Router.Hash_tenant
+        ~autoscale:
+          (Sea_cluster.Autoscale.config ~policy ~interval ~hot_threshold ())
+        ~mode:Sea_serve.Server.Proposed ~machines ~duration
+        (tenants total_rate)
+    in
+    let ok (fr : Sea_cluster.Fleet_report.t) =
+      holds ~slo_ms
+        ~allow:(fun offered -> offered / 20)
+        ~duration fr.Sea_cluster.Fleet_report.window
+        fr.Sea_cluster.Fleet_report.fleet
+    in
+    let show rate (fr : Sea_cluster.Fleet_report.t) held =
+      let f = fr.Sea_cluster.Fleet_report.fleet in
+      let a = Option.get fr.Sea_cluster.Fleet_report.autoscale in
+      Printf.printf
+        "  %8.1f req/s base  offered %5d  goodput %7.2f/s  shed %4d  \
+         hot %2d  moved %2d  %s  %s\n"
+        rate f.Sea_serve.Report.offered
+        (Sea_cluster.Fleet_report.goodput_per_s fr)
+        f.Sea_serve.Report.shed a.Sea_cluster.Fleet_report.hot_events
+        a.Sea_cluster.Fleet_report.tenants_moved (percentiles f)
+        (verdict held)
+    in
+    capacity ~run ~ok ~show ladder
 
   let json_file = "BENCH_autoscale.json"
-
-  let write_json results =
-    let oc = open_out json_file in
-    Printf.fprintf oc
-      "{\n\
-      \  \"bench\": \"autoscale-flash\",\n\
-      \  \"smoke\": %b,\n\
-      \  \"slo_p95_ms\": %.1f,\n\
-      \  \"seed\": %Ld,\n\
-      \  \"machines\": %d,\n\
-      \  \"flash_spike\": %.1f,\n\
-      \  \"results\": [\n"
-      smoke slo_ms seed machines spike;
-    let n = List.length results in
-    List.iteri
-      (fun i (policy, capacity, goodput, moved, warm, respawns) ->
-        Printf.fprintf oc
-          "    { \"policy\": %S, \"capacity_rps\": %.2f, \"goodput_rps\": \
-           %.2f, \"tenants_moved\": %d, \"warm_migrations\": %d, \
-           \"respawns\": %d }%s\n"
-          (Sea_cluster.Autoscale.policy_name policy)
-          capacity goodput moved warm respawns
-          (if i = n - 1 then "" else ","))
-      results;
-    Printf.fprintf oc "  ]\n}\n";
-    close_out oc
 
   let run () =
     section
@@ -1899,19 +1702,18 @@ module Autoscale_bench = struct
          "A12 — autoscaling a flash crowd: fleet base rate at a p95 <= %.0f \
           ms SLO (%d machines, %d tenants, %d of them spiking %.0fx, \
           proposed hw)%s"
-         slo_ms machines tenant_count flash_tenants spike
-         (if smoke then " [smoke]" else ""));
+         slo_ms machines tenant_count flash_tenants spike smoke_tag);
     let results =
       List.map
         (fun policy ->
           Printf.printf "%s policy:\n"
             (Sea_cluster.Autoscale.policy_name policy);
           match sweep policy with
-          | Some (capacity, goodput, fr) ->
+          | Some (capacity, fr) ->
               let a =
                 Option.get fr.Sea_cluster.Fleet_report.autoscale
               in
-              ( policy, capacity, goodput,
+              ( policy, capacity, Sea_cluster.Fleet_report.goodput_per_s fr,
                 a.Sea_cluster.Fleet_report.tenants_moved,
                 a.Sea_cluster.Fleet_report.warm_moves,
                 a.Sea_cluster.Fleet_report.respawns )
@@ -1929,7 +1731,24 @@ module Autoscale_bench = struct
           (Sea_cluster.Autoscale.policy_name policy)
           capacity goodput moved warm respawns)
       results;
-    write_json results;
+    write_json json_file ~bench:"autoscale-flash"
+      [
+        ("slo_p95_ms", F1 slo_ms);
+        ("seed", Int (Int64.to_int seed));
+        ("machines", Int machines);
+        ("flash_spike", F1 spike);
+      ]
+      (List.map
+         (fun (policy, capacity, goodput, moved, warm, respawns) ->
+           [
+             ("policy", Str (Sea_cluster.Autoscale.policy_name policy));
+             ("capacity_rps", F2 capacity);
+             ("goodput_rps", F2 goodput);
+             ("tenants_moved", Int moved);
+             ("warm_migrations", Int warm);
+             ("respawns", Int respawns);
+           ])
+         results);
     let cap p =
       List.fold_left
         (fun acc (q, c, _, _, _, _) -> if q = p then c else acc)
