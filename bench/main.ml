@@ -586,6 +586,8 @@ module Micro = struct
     let ct512 = Rsa.encrypt srk.Rsa.pub (Drbg.create ~seed:"micro") "payload" in
     let keygen_seed = ref 0 in
     let tpm_engine = Engine.create () in
+    let drbg = Drbg.create ~seed:"micro-drbg" in
+    let block64k = String.make 65536 'x' and msg32 = String.make 32 'm' in
     [
       Test.make ~name:"rsa2048-sign"
         (Staged.stage (fun () -> Rsa.sign ca "micro message"));
@@ -603,6 +605,12 @@ module Micro = struct
         (Staged.stage (fun () -> Sea_tpm.Tpm.create tpm_engine));
       Test.make ~name:"sha1-64KB"
         (Staged.stage (fun () -> Sea_crypto.Sha1.digest (String.make 65536 'x')));
+      Test.make ~name:"sha256-64KB" (Staged.stage (fun () -> Sha256.digest block64k));
+      Test.make ~name:"hmac-sha256-32B"
+        (Staged.stage (fun () -> Hmac.sha256 ~key:msg32 msg32));
+      (* One keygen candidate's draw, and one draw of RSA padding. *)
+      Test.make ~name:"drbg-generate-1B" (Staged.stage (fun () -> Drbg.generate drbg 1));
+      Test.make ~name:"drbg-generate-32B" (Staged.stage (fun () -> Drbg.generate drbg 32));
       Test.make ~name:"simulate-skinit-64KB (table1)"
         (Staged.stage (fun () ->
              ignore

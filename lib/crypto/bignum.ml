@@ -230,6 +230,14 @@ let divmod a b =
   else if Array.length b = 1 then divmod_limb a b.(0)
   else divmod_knuth a b
 
+let rem_int a d =
+  if d <= 0 || d > limb_mask then invalid_arg "Bignum.rem_int: divisor out of range";
+  let r = ref 0 in
+  for i = Array.length a - 1 downto 0 do
+    r := ((!r lsl limb_bits) lor a.(i)) mod d
+  done;
+  !r
+
 let div a b = fst (divmod a b)
 let rem a b = snd (divmod a b)
 

@@ -64,6 +64,11 @@ val divmod : t -> t -> t * t
 (** [divmod a b] is [(a / b, a mod b)]. Raises [Division_by_zero].
     Short division when [b] has one limb, Knuth's Algorithm D otherwise. *)
 
+val rem_int : t -> int -> int
+(** [rem_int a d] is [a mod d] for a one-limb divisor [0 < d < 2³¹],
+    by short division without allocation. Raises [Invalid_argument] for
+    any other [d]. *)
+
 val div : t -> t -> t
 val rem : t -> t -> t
 

@@ -69,16 +69,12 @@ let small_primes =
 
 let is_probable_prime n ~rounds drbg =
   let open Bignum in
-  if compare n two < 0 then false
-  else if List.exists (fun p -> equal n (of_int p)) small_primes then true
-  else if
-    List.exists (fun p -> is_zero (rem n (of_int p))) small_primes
-  then false
-  else if compare n (of_int (251 * 251)) < 0 then
-    (* No factor among the tested primes and below 251²: certainly prime. *)
-    true
-  else begin
-    begin
+  match to_int_opt n with
+  | Some k when k < 251 * 251 ->
+      (* Below 251², n is prime iff it is a listed prime or none divides it. *)
+      k >= 2 && List.for_all (fun p -> p = k || k mod p <> 0) small_primes
+  | _ when List.exists (fun p -> rem_int n p = 0) small_primes -> false
+  | _ ->
       (* n - 1 = d * 2^s with d odd *)
       let n1 = sub n one in
       let rec split d s = if test_bit d 0 then (d, s) else split (shift_right d 1) (s + 1) in
@@ -112,8 +108,6 @@ let is_probable_prime n ~rounds drbg =
       in
       let rec rounds_left k = if k = 0 then true else if witness (random_base ()) then false else rounds_left (k - 1) in
       rounds_left rounds
-    end
-  end
 
 let random_prime ~bits drbg =
   let open Bignum in

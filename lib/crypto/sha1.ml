@@ -29,6 +29,8 @@ let init () =
     w = Array.make 80 0;
   }
 
+let copy ctx = { ctx with buf = Bytes.copy ctx.buf; w = Array.make 80 0 }
+
 let process_block ctx block off =
   let w = ctx.w in
   for i = 0 to 15 do

@@ -24,3 +24,6 @@ val init : unit -> ctx
 val update : ctx -> string -> unit
 val finalize : ctx -> string
 (** May be called once; the context must not be reused afterwards. *)
+
+val copy : ctx -> ctx
+(** An independent context in the same state (see {!Sha256.copy}). *)

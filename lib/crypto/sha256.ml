@@ -1,6 +1,12 @@
+(* 32-bit arithmetic carried out in native ints. Sums are masked to 32
+   bits only where a value is stored; the low 32 bits of a sum do not
+   depend on the bits above them. A rotation reads a word doubled into
+   64 bits, [x lor (x lsl 32)]: [rotr32 x n] is then the low 32 bits of
+   one shift right by [n]. The 63-bit int keeps bits 0-62 of the doubled
+   word and a shift by at most 25 reads no bit above 56. *)
+
 let digest_size = 32
 let mask32 = 0xFFFFFFFF
-let rotr32 x n = ((x lsr n) lor (x lsl (32 - n))) land mask32
 
 let k =
   [|
@@ -19,10 +25,10 @@ let k =
 
 type ctx = {
   h : int array; (* 8 state words *)
-  buf : Bytes.t;
+  buf : Bytes.t; (* partial block *)
   mutable buf_len : int;
-  mutable total : int;
-  w : int array;
+  mutable total : int; (* bytes absorbed *)
+  w : int array; (* message schedule scratch *)
 }
 
 let init () =
@@ -38,57 +44,51 @@ let init () =
     w = Array.make 64 0;
   }
 
-let process_block ctx block off =
+let copy ctx =
+  { ctx with h = Array.copy ctx.h; buf = Bytes.copy ctx.buf; w = Array.make 64 0 }
+
+(* Compress the 64-byte block at [off] in [block]. *)
+let compress ctx block off =
   let w = ctx.w in
   for i = 0 to 15 do
-    let j = off + (4 * i) in
-    w.(i) <-
-      (Char.code (Bytes.get block j) lsl 24)
-      lor (Char.code (Bytes.get block (j + 1)) lsl 16)
-      lor (Char.code (Bytes.get block (j + 2)) lsl 8)
-      lor Char.code (Bytes.get block (j + 3))
+    w.(i) <- Int32.to_int (Bytes.get_int32_be block (off + (4 * i))) land mask32
   done;
   for i = 16 to 63 do
-    let s0 = rotr32 w.(i - 15) 7 lxor rotr32 w.(i - 15) 18 lxor (w.(i - 15) lsr 3) in
-    let s1 = rotr32 w.(i - 2) 17 lxor rotr32 w.(i - 2) 19 lxor (w.(i - 2) lsr 10) in
+    let x = w.(i - 15) and y = w.(i - 2) in
+    let x2 = x lor (x lsl 32) and y2 = y lor (y lsl 32) in
+    let s0 = (x2 lsr 7) lxor (x2 lsr 18) lxor (x lsr 3) in
+    let s1 = (y2 lsr 17) lxor (y2 lsr 19) lxor (y lsr 10) in
     w.(i) <- (w.(i - 16) + s0 + w.(i - 7) + s1) land mask32
   done;
   let h = ctx.h in
-  let a = ref h.(0)
-  and b = ref h.(1)
-  and c = ref h.(2)
-  and d = ref h.(3)
-  and e = ref h.(4)
-  and f = ref h.(5)
-  and g = ref h.(6)
-  and hh = ref h.(7) in
-  for i = 0 to 63 do
-    let s1 = rotr32 !e 6 lxor rotr32 !e 11 lxor rotr32 !e 25 in
-    let ch = (!e land !f) lxor (lnot !e land !g) land mask32 in
-    let t1 = (!hh + s1 + ch + k.(i) + w.(i)) land mask32 in
-    let s0 = rotr32 !a 2 lxor rotr32 !a 13 lxor rotr32 !a 22 in
-    let maj = (!a land !b) lxor (!a land !c) lxor (!b land !c) in
-    let t2 = (s0 + maj) land mask32 in
-    hh := !g;
-    g := !f;
-    f := !e;
-    e := (!d + t1) land mask32;
-    d := !c;
-    c := !b;
-    b := !a;
-    a := (t1 + t2) land mask32
-  done;
-  h.(0) <- (h.(0) + !a) land mask32;
-  h.(1) <- (h.(1) + !b) land mask32;
-  h.(2) <- (h.(2) + !c) land mask32;
-  h.(3) <- (h.(3) + !d) land mask32;
-  h.(4) <- (h.(4) + !e) land mask32;
-  h.(5) <- (h.(5) + !f) land mask32;
-  h.(6) <- (h.(6) + !g) land mask32;
-  h.(7) <- (h.(7) + !hh) land mask32
+  let rec rounds i a b c d e f g hh =
+    if i < 64 then begin
+      let e2 = e lor (e lsl 32) and a2 = a lor (a lsl 32) in
+      let s1 = (e2 lsr 6) lxor (e2 lsr 11) lxor (e2 lsr 25) in
+      let ch = g lxor (e land (f lxor g)) in
+      let t1 = hh + s1 + ch + k.(i) + w.(i) in
+      let s0 = (a2 lsr 2) lxor (a2 lsr 13) lxor (a2 lsr 22) in
+      let maj = (a land b) lor (c land (a lor b)) in
+      rounds (i + 1) ((t1 + s0 + maj) land mask32) a b c ((d + t1) land mask32) e f g
+    end
+    else begin
+      h.(0) <- (h.(0) + a) land mask32;
+      h.(1) <- (h.(1) + b) land mask32;
+      h.(2) <- (h.(2) + c) land mask32;
+      h.(3) <- (h.(3) + d) land mask32;
+      h.(4) <- (h.(4) + e) land mask32;
+      h.(5) <- (h.(5) + f) land mask32;
+      h.(6) <- (h.(6) + g) land mask32;
+      h.(7) <- (h.(7) + hh) land mask32
+    end
+  in
+  rounds 0 h.(0) h.(1) h.(2) h.(3) h.(4) h.(5) h.(6) h.(7)
 
+(* Whole blocks are compressed straight from [s]; only a partial block
+   is copied into [buf]. *)
 let update ctx s =
   let len = String.length s in
+  let src = Bytes.unsafe_of_string s in
   ctx.total <- ctx.total + len;
   let pos = ref 0 in
   if ctx.buf_len > 0 then begin
@@ -97,13 +97,12 @@ let update ctx s =
     ctx.buf_len <- ctx.buf_len + take;
     pos := take;
     if ctx.buf_len = 64 then begin
-      process_block ctx ctx.buf 0;
+      compress ctx ctx.buf 0;
       ctx.buf_len <- 0
     end
   end;
   while len - !pos >= 64 do
-    Bytes.blit_string s !pos ctx.buf 0 64;
-    process_block ctx ctx.buf 0;
+    compress ctx src !pos;
     pos := !pos + 64
   done;
   if !pos < len then begin
@@ -111,27 +110,22 @@ let update ctx s =
     ctx.buf_len <- len - !pos
   end
 
+(* Padding: 0x80, zeros, the 64-bit big-endian bit length, written into
+   [buf] after the partial block. *)
 let finalize ctx =
-  let bit_len = ctx.total * 8 in
-  let pad_len =
-    let rem = (ctx.total + 1 + 8) mod 64 in
-    if rem = 0 then 1 else 1 + (64 - rem)
-  in
-  let pad = Bytes.make (pad_len + 8) '\000' in
-  Bytes.set pad 0 '\x80';
-  for i = 0 to 7 do
-    Bytes.set pad (pad_len + i) (Char.chr ((bit_len lsr (8 * (7 - i))) land 0xff))
-  done;
-  update ctx (Bytes.to_string pad);
+  let buf = ctx.buf and n = ctx.buf_len in
+  Bytes.set buf n '\x80';
+  if n + 1 > 56 then begin
+    Bytes.fill buf (n + 1) (63 - n) '\000';
+    compress ctx buf 0;
+    Bytes.fill buf 0 56 '\000'
+  end
+  else Bytes.fill buf (n + 1) (55 - n) '\000';
+  Bytes.set_int64_be buf 56 (Int64.of_int (ctx.total * 8));
+  compress ctx buf 0;
   let out = Bytes.create 32 in
-  Array.iteri
-    (fun i v ->
-      Bytes.set out (4 * i) (Char.chr ((v lsr 24) land 0xff));
-      Bytes.set out ((4 * i) + 1) (Char.chr ((v lsr 16) land 0xff));
-      Bytes.set out ((4 * i) + 2) (Char.chr ((v lsr 8) land 0xff));
-      Bytes.set out ((4 * i) + 3) (Char.chr (v land 0xff)))
-    ctx.h;
-  Bytes.to_string out
+  Array.iteri (fun i v -> Bytes.set_int32_be out (4 * i) (Int32.of_int v)) ctx.h;
+  Bytes.unsafe_to_string out
 
 let digest msg =
   let ctx = init () in

@@ -12,7 +12,14 @@ val digest_bytes : bytes -> string
 val hex : string -> string
 
 type ctx
+(** Streaming interface. *)
 
 val init : unit -> ctx
 val update : ctx -> string -> unit
+
 val finalize : ctx -> string
+(** May be called once; the context must not be reused afterwards. *)
+
+val copy : ctx -> ctx
+(** An independent context in the same state, so that a common prefix
+    (an HMAC key pad) is absorbed once and finished many times. *)
