@@ -67,6 +67,89 @@ let test_attestation_across_architectures () =
            (Attestation.gather m q)))
     [ Machine.hp_dc5750; Machine.intel_tep; Machine.lenovo_t60; Machine.amd_infineon ]
 
+(* At full fidelity (2048-bit SRK and AIK), evidence gathered after a
+   session verifies, and carries the pinned Broadcom AIK certificate. *)
+let test_attestation_full_fidelity_round_trip () =
+  let m = Machine.create Machine.hp_dc5750 in
+  let pal = Generic.pal_gen () in
+  ignore (ok (Session.execute m ~cpu:0 pal ~input:""));
+  let q, _ = ok (Session.quote m ~nonce:"full-fidelity") in
+  let evidence = Attestation.gather m q in
+  Alcotest.(check string) "certificate digest"
+    "756386663528eb77c64e5518e7ed668043e2e168e3d0e2afce3a8776177bd40a"
+    (Sea_crypto.Sha256.hex evidence.Attestation.aik_cert);
+  ok
+    (Attestation.verify ~ca:(Sea_tpm.Tpm.privacy_ca_public ()) ~nonce:"full-fidelity"
+       (Attestation.expect_session_exit m pal)
+       evidence)
+
+(* --- Launch pins: measurement and identity PCR of every shipped PAL --- *)
+
+let hex s =
+  String.concat "" (List.init (String.length s) (fun i -> Printf.sprintf "%02x" (Char.code s.[i])))
+
+(* Each shipped PAL with an input its behaviour accepts. *)
+let shipped_pals () =
+  let image = Sea_apps.Rootkit_detector.make_kernel_image ~size:1024 ~seed:"pin" () in
+  let codec = Sea_apps.Codec.command in
+  List.map
+    (fun k ->
+      ( "workload " ^ Sea_serve.Workload.kind_name k,
+        Sea_serve.Workload.pal k,
+        Sea_serve.Workload.init_input k ~tenant:"t0" ))
+    Sea_serve.Workload.kinds
+  @ [
+      ("ssh-password", Sea_apps.Ssh_password.pal (), codec "setup" [ "alice"; "pw" ]);
+      ("cert-authority", Sea_apps.Cert_authority.pal (), codec "init" []);
+      ("factoring", Sea_apps.Factoring.pal (), codec "start" [ "221"; "100" ]);
+      ( "rootkit-detector",
+        Sea_apps.Rootkit_detector.pal (),
+        codec "check" [ Sea_apps.Rootkit_detector.whitelist_digest image; image ] );
+      ("bgp-attest", Sea_apps.Bgp_attest.pal (), codec "init" [ "64512" ]);
+    ]
+
+(* Captured before launch digests were cached: the measurement SKINIT
+   takes, and the identity PCR after one session (exit marker
+   included). PCR 17 on an AMD dc5750 and PCR 18 on an Intel TEP carry
+   the same chain. *)
+let launch_pins =
+  [
+    ( "workload ssh-auth",
+      ("c03928ce13787eab572d79a014247bacf78ee8a1", "369eb29e21ef76e28bec45d23d826219f25ecaf2") );
+    ( "workload ca-sign",
+      ("649e056001a9804debcf81e94a746c93a141d060", "79b431edc1944d721dfbcd718fe2d5d94b3a033a") );
+    ( "workload kv-update",
+      ("cabe14a2cb099a00b3de1c58784af016e3e58acf", "f39ef2009c30c9a24ca3ad521db264166f7b588b") );
+    ( "ssh-password",
+      ("9ec99976dc08e2598eadc7cb1f6eef47b696cf0e", "3d993a93668fe516bf8388d550a8d2594f12e2aa") );
+    ( "cert-authority",
+      ("cac0a362f840c1371989d08773763a98d8aa1a71", "da7b4967fff33022720b645c99541aefe43f8e83") );
+    ( "factoring",
+      ("96f78820c990d5d4e68db5c027ec5757dd04143b", "cf1357870cfff59503cd7e75c10306846caa42d3") );
+    ( "rootkit-detector",
+      ("d423a5f6e5a99818c9fefa4fb31609d33355bf40", "d2f85def63cf0c2b2289ef48115ceecc866b25bf") );
+    ( "bgp-attest",
+      ("b52fa5a3021ec48e05b2f77feda84de705a1d89a", "4127d2b404905e88cc775cb2965b4c7adf0a516f") );
+  ]
+
+let test_launch_pins () =
+  let checks = Alcotest.(check string) in
+  List.iter
+    (fun (name, pal, input) ->
+      let measurement, identity = List.assoc name launch_pins in
+      checks (name ^ " measurement") measurement (hex (Pal.measurement pal));
+      List.iter
+        (fun (preset, pcr) ->
+          let m = Machine.create (Machine.low_fidelity preset) in
+          let o = ok (Session.execute m ~cpu:0 pal ~input) in
+          checks (name ^ " measured") measurement (hex o.Session.measurement);
+          checks
+            (Printf.sprintf "%s PCR %d" name pcr)
+            identity
+            (hex (Sea_tpm.Tpm.pcr_read (Machine.tpm_exn m) pcr)))
+        [ (Machine.hp_dc5750, 17); (Machine.intel_tep, 18) ])
+    (shipped_pals ())
+
 (* --- Sealed state is platform-bound --- *)
 
 let test_seal_does_not_travel_across_machines () =
@@ -191,7 +274,10 @@ let () =
           Alcotest.test_case "remote attestation protocol" `Quick
             test_remote_attestation_protocol;
           Alcotest.test_case "across architectures" `Slow test_attestation_across_architectures;
+          Alcotest.test_case "full-fidelity round trip" `Quick
+            test_attestation_full_fidelity_round_trip;
         ] );
+      ("launch-pins", [ Alcotest.test_case "shipped PALs" `Quick test_launch_pins ]);
       ( "sealed-state",
         [
           Alcotest.test_case "platform-bound" `Quick test_seal_does_not_travel_across_machines;

@@ -221,6 +221,19 @@ let test_aik_certificate () =
   checkb "cert bound to key" false
     (Tpm.verify_aik_certificate ~ca ~aik:(Tpm.aik_public other) (Tpm.aik_certificate tpm))
 
+(* Known answers captured while every TPM signed its AIK certificate
+   at construction: certifying on first use must give the same bytes. *)
+let test_aik_certificate_known_answers () =
+  List.iter
+    (fun (key_bits, expected) ->
+      let tpm = Tpm.create ~key_bits (Engine.create ()) in
+      checks (Printf.sprintf "Broadcom/%d certificate" key_bits) expected
+        (Sha256.hex (Tpm.aik_certificate tpm)))
+    [
+      (512, "ba06815f8aa7c0d4c1d77cf2b71fa1196395da63b8673b7f06b9a47c0f3e3327");
+      (2048, "756386663528eb77c64e5518e7ed668043e2e168e3d0e2afce3a8776177bd40a");
+    ]
+
 (* --- GetRandom --- *)
 
 let test_get_random () =
@@ -445,6 +458,8 @@ let () =
           Alcotest.test_case "verifies" `Quick test_quote_verifies;
           Alcotest.test_case "tamper detection" `Quick test_quote_tamper_detected;
           Alcotest.test_case "AIK certificate" `Quick test_aik_certificate;
+          Alcotest.test_case "AIK certificate known answers" `Quick
+            test_aik_certificate_known_answers;
         ] );
       ("random", [ Alcotest.test_case "GetRandom" `Quick test_get_random ]);
       ( "timing",
