@@ -7,6 +7,9 @@ let cache : (string * int, Rsa.private_key) Hashtbl.t = Hashtbl.create 7
    populates an entry first, every reader sees the same key. *)
 let lock = Mutex.create ()
 
+let generate ~label ~bits =
+  Rsa.generate ~bits (Drbg.create ~seed:(Printf.sprintf "sea-keyvault:%s:%d" label bits))
+
 (* Rebuild a key from its stored prime pair (e is always 65537). *)
 let of_primes p_hex q_hex =
   match Rsa.of_primes (Bignum.of_hex p_hex) (Bignum.of_hex q_hex) with
@@ -32,11 +35,7 @@ let get ~label ~bits =
       let key =
         match embedded ~label ~bits with
         | Some key -> key
-        | None ->
-            let drbg =
-              Drbg.create ~seed:(Printf.sprintf "sea-keyvault:%s:%d" label bits)
-            in
-            Rsa.generate ~bits drbg
+        | None -> generate ~label ~bits
       in
       Mutex.protect lock (fun () ->
           match Hashtbl.find_opt cache (label, bits) with
@@ -44,5 +43,3 @@ let get ~label ~bits =
           | None ->
               Hashtbl.add cache (label, bits) key;
               key)
-
-let clear () = Mutex.protect lock (fun () -> Hashtbl.reset cache)

@@ -12,7 +12,6 @@ type t = {
   sepcrs : Sepcr.bank option;
   srk : Rsa.private_key;
   aik : Rsa.private_key;
-  aik_cert : string;
   drbg : Drbg.t;
   rng : Rng.t; (* timing jitter only *)
   mutable faults : Sea_fault.Fault.t option;
@@ -29,17 +28,21 @@ let privacy_ca () = Keyvault.get ~label:"privacy-ca" ~bits:2048
 let privacy_ca_public () = (privacy_ca ()).Rsa.pub
 
 (* A certificate is a deterministic PKCS#1 v1.5 signature over the AIK's
-   public key, so it is signed once per key and process. As in [Keyvault],
-   a lock keeps the table consistent when TPMs are created from several
-   domains, and a racing double sign yields the identical bytes. *)
+   public key, so it is signed once per key and process, when a verifier
+   first asks for it. As in [Keyvault], a lock keeps the table consistent
+   when TPMs are used from several domains, and a racing double sign
+   yields the identical bytes. *)
 let aik_certs : (string, string) Hashtbl.t = Hashtbl.create 7
 let aik_certs_lock = Mutex.create ()
 
-let certify_aik (aik_pub : Rsa.public) =
+let aik_cert_message (aik : Rsa.public) =
   let enc = Wire.encoder () in
-  Wire.add_string enc (Bignum.to_bytes_be aik_pub.Rsa.n);
-  Wire.add_string enc (Bignum.to_bytes_be aik_pub.Rsa.e);
-  let msg = "AIK-CERT" ^ Wire.contents enc in
+  Wire.add_string enc (Bignum.to_bytes_be aik.Rsa.n);
+  Wire.add_string enc (Bignum.to_bytes_be aik.Rsa.e);
+  "AIK-CERT" ^ Wire.contents enc
+
+let certify_aik aik_pub =
+  let msg = aik_cert_message aik_pub in
   match Mutex.protect aik_certs_lock (fun () -> Hashtbl.find_opt aik_certs msg) with
   | Some cert -> cert
   | None ->
@@ -47,11 +50,8 @@ let certify_aik (aik_pub : Rsa.public) =
       Mutex.protect aik_certs_lock (fun () -> Hashtbl.replace aik_certs msg cert);
       cert
 
-let verify_aik_certificate ~ca ~(aik : Rsa.public) cert =
-  let enc = Wire.encoder () in
-  Wire.add_string enc (Bignum.to_bytes_be aik.Rsa.n);
-  Wire.add_string enc (Bignum.to_bytes_be aik.Rsa.e);
-  Rsa.verify ca ~msg:("AIK-CERT" ^ Wire.contents enc) ~signature:cert
+let verify_aik_certificate ~ca ~aik cert =
+  Rsa.verify ca ~msg:(aik_cert_message aik) ~signature:cert
 
 (* Atomic so TPMs may be created from any domain; the tag only
    disambiguates blobs across instances, nothing rendered depends on
@@ -74,7 +74,6 @@ let create ?(vendor = Vendor.Broadcom) ?profile ?(key_bits = 2048) ?(sepcr_count
     sepcrs = (if sepcr_count > 0 then Some (Sepcr.create ~size:sepcr_count) else None);
     srk;
     aik;
-    aik_cert = certify_aik aik.Rsa.pub;
     drbg = Drbg.create ~seed:("tpm-drbg:" ^ tag);
     (* Jitter derives from the engine's deterministic stream so that two
        identically configured machines replay identical timelines. *)
@@ -95,7 +94,7 @@ let profile t = t.profile
 let engine t = t.engine
 let lpc t = t.lpc
 let aik_public t = t.aik.Rsa.pub
-let aik_certificate t = t.aik_cert
+let aik_certificate t = certify_aik t.aik.Rsa.pub
 
 let charge t mean = Engine.advance t.engine (Timing.draw t.rng t.profile mean)
 

@@ -155,7 +155,8 @@ val verify_quote : aik:Sea_crypto.Rsa.public -> quote -> bool
 
 val aik_public : t -> Sea_crypto.Rsa.public
 val aik_certificate : t -> string
-(** Privacy-CA signature over the AIK public key (§2.1.1). *)
+(** Privacy-CA signature over the AIK public key (§2.1.1). Signed on
+    first use, once per AIK and process; it charges no virtual time. *)
 
 val verify_aik_certificate :
   ca:Sea_crypto.Rsa.public -> aik:Sea_crypto.Rsa.public -> string -> bool

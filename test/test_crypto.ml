@@ -710,6 +710,19 @@ let test_keyvault_generated_moduli () =
     "f50b9fa5b40d6ea5ff3362bd3abd246675146f185f5502bd747da927bcebfd61"
     (Sha256.hex (String.concat "\n" moduli))
 
+(* Keeps key generation under test now that start-up reads these keys
+   from the table: every 512-bit entry must be exactly what the labelled
+   derivation draws. *)
+let test_keyvault_table_regenerates () =
+  let entries = List.filter (fun (_, bits, _) -> bits = 512) Embedded_keys.table in
+  checkb "512-bit entries present" true (entries <> []);
+  List.iter
+    (fun (label, bits, (p, q)) ->
+      let key = Keyvault.generate ~label ~bits in
+      checks (label ^ " p") p (Bignum.to_hex key.Rsa.p);
+      checks (label ^ " q") q (Bignum.to_hex key.Rsa.q))
+    entries
+
 let test_keyvault_embedded () =
   (* The embedded 2048-bit keys must load fast and be valid signing keys. *)
   let t0 = Unix.gettimeofday () in
@@ -808,5 +821,7 @@ let () =
           Alcotest.test_case "memoization" `Quick test_keyvault_memoizes;
           Alcotest.test_case "embedded 2048-bit keys" `Quick test_keyvault_embedded;
           Alcotest.test_case "generated 512-bit moduli" `Quick test_keyvault_generated_moduli;
+          Alcotest.test_case "512-bit table regenerates" `Quick
+            test_keyvault_table_regenerates;
         ] );
     ]
