@@ -150,6 +150,51 @@ let test_launch_pins () =
         [ (Machine.hp_dc5750, 17); (Machine.intel_tep, 18) ])
     (shipped_pals ())
 
+(* SHA1(0^20 ‖ measurement) of each PAL above, computed outside the
+   simulator: the sePCR after a first SLAUNCH and the root of an SFI
+   session's chain both hold it. *)
+let launch_identity_pins =
+  [
+    ("workload ssh-auth", "981764b2765a0156e95dba696ba5243471d73fa9");
+    ("workload ca-sign", "017d184e09157187ec264e49158c1d19f7fd91d8");
+    ("workload kv-update", "4e73a001ab9f9956fc7f9afd59021bc79083e844");
+    ("ssh-password", "28fb76b7939079a6954939b65727e8b0cc79b10b");
+    ("cert-authority", "d275879dc6c033b7a9ecc0b52a95c34f843b61aa");
+    ("factoring", "71454a85e24146397ebbb55431811e896f743373");
+    ("rootkit-detector", "94b2d1ab91799dcfca1b41055c1cfa64dcfa688b");
+    ("bgp-attest", "3c63fd7e8de5e28b0e62b5b5f2d981c260b23f12");
+  ]
+
+(* On a proposed dc5750: the measurement a first SLAUNCH of a fresh SECB
+   reports, the sePCR after [Slaunch_session.start], and the chain root
+   after [Sfi_session.start]. *)
+let test_slaunch_and_sfi_pins () =
+  let checks = Alcotest.(check string) in
+  List.iter
+    (fun (name, pal, input) ->
+      let measurement, _ = List.assoc name launch_pins in
+      let identity = List.assoc name launch_identity_pins in
+      let m = Machine.create (Machine.low_fidelity (Machine.proposed_variant Machine.hp_dc5750)) in
+      let pages = Machine.alloc_pages m (1 + Pal.pages_needed pal) in
+      let secb =
+        Secb.create ~id:(Machine.fresh_secb_id m) ~pages ~entry_point:0
+          ~pal_length:(Pal.code_size pal) ()
+      in
+      Memory.write_span (Memctrl.memory m.Machine.memctrl) ~pages:(Secb.data_pages secb) ~off:0
+        pal.Pal.code;
+      (match ok (Insn.slaunch m ~cpu:1 secb) with
+      | Insn.Launched d -> checks (name ^ " SLAUNCH measurement") measurement (hex d)
+      | Insn.Resumed -> Alcotest.fail "fresh SECB resumed");
+      let s = ok (Slaunch_session.start m ~cpu:0 pal ~input) in
+      checks (name ^ " sePCR") identity
+        (hex
+           (ok
+              (Sea_tpm.Tpm.sepcr_read (Machine.tpm_exn m) ~caller:(Sea_tpm.Tpm.Cpu 0)
+                 (Option.get (Slaunch_session.sepcr_handle s)))));
+      let sfi = ok (Sfi_session.start m ~cpu:2 pal ~input) in
+      checks (name ^ " SFI chain root") identity (hex (Sfi_session.chain sfi)))
+    (shipped_pals ())
+
 (* --- Sealed state is platform-bound --- *)
 
 let test_seal_does_not_travel_across_machines () =
@@ -277,7 +322,11 @@ let () =
           Alcotest.test_case "full-fidelity round trip" `Quick
             test_attestation_full_fidelity_round_trip;
         ] );
-      ("launch-pins", [ Alcotest.test_case "shipped PALs" `Quick test_launch_pins ]);
+      ( "launch-pins",
+        [
+          Alcotest.test_case "shipped PALs" `Quick test_launch_pins;
+          Alcotest.test_case "SLAUNCH and SFI" `Quick test_slaunch_and_sfi_pins;
+        ] );
       ( "sealed-state",
         [
           Alcotest.test_case "platform-bound" `Quick test_seal_does_not_travel_across_machines;
