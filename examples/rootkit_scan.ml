@@ -21,13 +21,13 @@ let scan_and_attest machine ~whitelist ~kernel_image ~nonce =
 (* The verifier recomputes the full PCR-17 chain it expects from a clean
    run: detector identity, then the clean-verdict extension, then the
    session exit marker. *)
-let expected_clean_chain machine ~image =
+let expected_clean_chain ~image =
   let pal = Rootkit_detector.pal () in
   let verdict_ext =
     Sea_crypto.Sha1.digest ("verdict:clean" ^ Sea_crypto.Sha256.digest image)
   in
   Sea_crypto.Sha1.digest
-    (Sea_crypto.Sha1.digest (Session.expected_identity machine pal ^ verdict_ext)
+    (Sea_crypto.Sha1.digest (Pal.identity pal ^ verdict_ext)
     ^ Session.exit_marker)
 
 let () =
@@ -42,7 +42,7 @@ let () =
     | Error e -> Printf.printf "  scan failed: %s\n" e
     | Ok (clean, evidence) ->
         Printf.printf "  detector verdict: %s\n" (if clean then "clean" else "COMPROMISED");
-        let expected = expected_clean_chain machine ~image in
+        let expected = expected_clean_chain ~image in
         (match
            Attestation.verify
              ~ca:(Sea_tpm.Tpm.privacy_ca_public ())
@@ -70,7 +70,7 @@ let () =
   match Session.quote machine ~nonce with
   | Error e -> Printf.printf "  quote failed: %s\n" e
   | Ok (quote, _) ->
-      let expected = expected_clean_chain machine ~image in
+      let expected = expected_clean_chain ~image in
       (match
          Attestation.verify
            ~ca:(Sea_tpm.Tpm.privacy_ca_public ())

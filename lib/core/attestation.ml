@@ -18,9 +18,9 @@ type expectation = Dynamic_pcrs of (int * string) list | Sepcr of string
 
 let expect_session_exit m pal =
   let pcr = Session.identity_pcr_for m in
-  Dynamic_pcrs [ (pcr, Session.expected_identity_after_exit m pal) ]
+  Dynamic_pcrs [ (pcr, Session.expected_identity_after_exit pal) ]
 
-let expect_slaunch_exit pal = Sepcr (Slaunch_session.expected_sepcr pal)
+let expect_slaunch_exit pal = Sepcr (Pal.identity pal)
 
 let verify ~ca ~nonce expectation evidence =
   if not (Sea_tpm.Tpm.verify_aik_certificate ~ca ~aik:evidence.aik evidence.aik_cert)

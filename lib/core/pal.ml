@@ -11,6 +11,8 @@ type services = {
 type t = {
   name : string;
   code : string;
+  measurement : string;
+  identity : string;
   compute_time : Sea_sim.Time.t;
   behavior : services -> string -> (string, string) result;
 }
@@ -24,18 +26,27 @@ let synth_code ~name ~version ~size =
   let drbg = Drbg.create ~seed:("pal-code:" ^ header) in
   header ^ Drbg.generate_string drbg (size - String.length header)
 
+(* The image is hashed here, once: launches take the digest the TPM (or
+   the ACMod) computes, and verifiers read these fields. *)
+let make ~name ~code ~compute_time behavior =
+  let measurement = Sha1.digest code in
+  let identity = Sha1.digest (String.make Sea_tpm.Pcr.digest_size '\000' ^ measurement) in
+  { name; code; measurement; identity; compute_time; behavior }
+
 let create ~name ?(code_size = 4096) ?(version = 1) ?(compute_time = Sea_sim.Time.zero)
     behavior =
   if code_size <= 0 || code_size > 64 * 1024 then
     invalid_arg "Pal.create: code size must be in (0, 64 KB]";
-  { name; code = synth_code ~name ~version ~size:code_size; compute_time; behavior }
+  make ~name ~code:(synth_code ~name ~version ~size:code_size) ~compute_time behavior
 
 let of_code ~name ~code ?(compute_time = Sea_sim.Time.zero) behavior =
   if String.length code = 0 || String.length code > 64 * 1024 then
     invalid_arg "Pal.of_code: code size must be in (0, 64 KB]";
-  { name; code; compute_time; behavior }
+  make ~name ~code ~compute_time behavior
 
-let measurement t = Sha1.digest t.code
+let with_behavior t ~name ~compute_time behavior = { t with name; compute_time; behavior }
+let measurement t = t.measurement
+let identity t = t.identity
 
 (* Content-addressed analysis cache, keyed on the measurement digest
    (plus policy): the analyzer is a pure function of the measured

@@ -31,9 +31,11 @@ type services = {
   machine_name : string;
 }
 
-type t = {
+type t = private {
   name : string;
   code : string;  (** The measured bytes. *)
+  measurement : string;  (** See {!measurement}. *)
+  identity : string;  (** See {!identity}. *)
   compute_time : Sea_sim.Time.t;
       (** Application-specific work, {e excluded} from the paper's overhead
           figures but needed for scheduling experiments. *)
@@ -61,6 +63,15 @@ val of_code :
 (** A PAL whose measured bytes are exactly [code] — used when the code
     is a real program image (see [Sea_palvm]) rather than synthetic
     filler. Size limits as in {!create}. *)
+
+val with_behavior :
+  t ->
+  name:string ->
+  compute_time:Sea_sim.Time.t ->
+  (services -> string -> (string, string) result) ->
+  t
+(** The same measured bytes, and so the same digests (not hashed again),
+    under another name, work and behaviour. *)
 
 val preflight :
   ?policy:Sea_analysis.Analyzer.policy ->
@@ -91,7 +102,12 @@ val analysis_runs : unit -> int
     lets tests assert each distinct image is analyzed exactly once. *)
 
 val measurement : t -> string
-(** SHA-1 of the code — what lands in PCR 17 / the sePCR. *)
+(** SHA-1 of the code, computed once — what lands in PCR 17 / the sePCR. *)
+
+val identity : t -> string
+(** SHA1(0{^20} ‖ {!measurement}), computed once: the identity PCR or
+    sePCR right after a late launch, and the root of an SFI session's
+    chain — what a verifier compares against. *)
 
 val pages_needed : t -> int
 (** Data pages required to hold the code (excluding the SECB page). *)

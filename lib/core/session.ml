@@ -26,14 +26,7 @@ let exit_marker = Sha1.digest "SEA-PAL-EXIT"
 let identity_pcr_for (m : Machine.t) =
   match m.Machine.config.Machine.arch with Machine.Amd -> 17 | Machine.Intel -> 18
 
-let zero_pcr = String.make Sea_tpm.Pcr.digest_size '\000'
-
-let expected_identity (m : Machine.t) pal =
-  ignore m;
-  Sha1.digest (zero_pcr ^ Pal.measurement pal)
-
-let expected_identity_after_exit m pal =
-  Sha1.digest (expected_identity m pal ^ exit_marker)
+let expected_identity_after_exit pal = Sha1.digest (Pal.identity pal ^ exit_marker)
 
 (* The OS-side suspend/resume plumbing the kernel module performs: saving
    kernel state in place is cheap (§3.3); idling the sibling cores costs an
@@ -87,11 +80,13 @@ let execute (m : Machine.t) ~cpu ?analyze ?analysis_policy ?on_report ?retry
       | Error e ->
           cleanup ();
           Error e
-      | Ok measurement ->
+      | Ok (_, None) ->
+          cleanup ();
+          Error "late launch extended no identity PCR"
+      | Ok (measurement, Some identity_value) ->
           (Machine.cpu m cpu).Cpu.status <- Cpu.In_pal (-1);
           let late_launch_time = Time.sub (Engine.now engine) t0 in
           let identity_pcr = identity_pcr_for m in
-          let identity_value = expected_identity m pal in
           let cap =
             match tpm_cap with
             | Some c -> c

@@ -28,8 +28,8 @@ type outcome = {
   output : string;
   measurement : string;  (** SHA-1 of the PAL code, as measured. *)
   identity_pcr : int;  (** 17 on AMD, 18 on Intel. *)
-  identity_value : string;  (** That PCR's value {e before} the exit
-                                marker — the unseal policy target. *)
+  identity_value : string;  (** That PCR's value from the launch, {e before}
+                                the exit marker — the unseal policy target. *)
   breakdown : breakdown;
 }
 
@@ -79,10 +79,7 @@ val quote :
     bar of Figure 2). Returns the quote and the TPM time it took. *)
 
 val identity_pcr_for : Sea_hw.Machine.t -> int
-val expected_identity : Sea_hw.Machine.t -> Pal.t -> string
-(** The identity-PCR value a correct launch of [pal] yields on this
-    machine's architecture — what a verifier compares against. *)
 
-val expected_identity_after_exit : Sea_hw.Machine.t -> Pal.t -> string
-(** The same chain after the exit marker — what a post-session quote must
-    contain. *)
+val expected_identity_after_exit : Pal.t -> string
+(** {!Pal.identity} extended with the exit marker — what a post-session
+    quote of a PAL that extended nothing else must contain. *)

@@ -31,7 +31,6 @@ type t = {
   pages : int list;
   preemption_timer : Time.t option;
   session_id : int;
-  root : string;  (** Loader-rooted identity; seal binding and vault key. *)
   mutable chain : string;
   mutable state : Lifecycle.state;
   mutable remaining : Time.t;
@@ -45,12 +44,8 @@ type t = {
 }
 
 let state t = t.state
-let measurement t = Pal.measurement t.pal
 let output t = t.output
 let chain t = t.chain
-
-let zero_pcr = String.make Sea_tpm.Pcr.digest_size '\000'
-let expected_chain pal = Sha1.digest (zero_pcr ^ Pal.measurement pal)
 
 let step t ev =
   match Lifecycle.step t.state ev with
@@ -86,8 +81,7 @@ let start (m : Machine.t) ~cpu:_ ?preemption_timer
           pages;
           preemption_timer;
           session_id = Machine.fresh_secb_id m;
-          root = expected_chain pal;
-          chain = expected_chain pal;
+          chain = Pal.identity pal;
           state = Lifecycle.Start;
           remaining = pal.Pal.compute_time;
           output = None;
@@ -111,11 +105,11 @@ let start (m : Machine.t) ~cpu:_ ?preemption_timer
 
 (* --- Sealed storage: bind to the loader-rooted identity --- *)
 
-let binding t = "sfi:" ^ Sha1.hex t.root
+let binding t = "sfi:" ^ Sha1.hex (Pal.identity t.pal)
 
 let vault_key t =
   Hmac.sha256 ~key:("sfi-vault:" ^ t.machine.Machine.config.Machine.name)
-    t.root
+    (Pal.identity t.pal)
 
 let seal_blob t ~cpu data =
   charge t

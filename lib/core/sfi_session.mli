@@ -67,17 +67,11 @@ val start :
     has nothing to retry (no TPM). *)
 
 val state : t -> Lifecycle.state
-val measurement : t -> string
 val output : t -> string option
 
 val chain : t -> string
-(** The PAL's software measurement chain: rooted at the loader
-    measurement, extended by [extend_measurement]. *)
-
-val expected_chain : Pal.t -> string
-(** The chain a correct launch of [pal] roots:
-    SHA1(zeroes ∥ SHA1(code)) — deliberately the same shape as
-    {!Slaunch_session.expected_sepcr}. *)
+(** The PAL's software measurement chain: rooted at {!Pal.identity},
+    extended by [extend_measurement]. *)
 
 val run_slice :
   t ->

@@ -1,5 +1,4 @@
 open Sea_sim
-open Sea_crypto
 open Sea_hw
 
 type t = {
@@ -20,12 +19,8 @@ type t = {
 
 let state t = t.state
 let secb t = t.secb
-let measurement t = Pal.measurement t.pal
 let output t = t.output
 let sepcr_handle t = t.secb.Secb.sepcr
-
-let zero_pcr = String.make Sea_tpm.Pcr.digest_size '\000'
-let expected_sepcr pal = Sha1.digest (zero_pcr ^ Pal.measurement pal)
 
 let step t ev =
   match Lifecycle.step t.state ev with

@@ -50,7 +50,6 @@ val start :
 
 val state : t -> Lifecycle.state
 val secb : t -> Sea_hw.Secb.t
-val measurement : t -> string
 val output : t -> string option
 (** Available once the lifecycle reaches [Done] via SFREE. *)
 
@@ -94,10 +93,6 @@ val quote_after_exit :
 (** Untrusted code generates the attestation once the PAL is [Done]:
     TPM_Quote over the PAL's sePCR (permitted exactly in the Quote state;
     the sePCR then becomes Free, §5.4.3). *)
-
-val expected_sepcr : Pal.t -> string
-(** The sePCR value a correct SLAUNCH of [pal] produces:
-    SHA1(zeroes ∥ SHA1(code)). *)
 
 val release : t -> unit
 (** Return the session's pages to the OS allocator. Call after [Done]. *)

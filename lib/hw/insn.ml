@@ -57,7 +57,7 @@ let skinit (m : Machine.t) ~cpu ~pages ~length =
     cpu_init_advance m;
     core.Cpu.interrupts_enabled <- false;
     Memctrl.dev_protect m.memctrl pages;
-    if length = 0 then Ok (Sha1.digest "")
+    if length = 0 then Ok (Sha1.digest "", None)
     else begin
       match fetch_region m ~cpu ~pages ~length with
       | Error e -> Error e
@@ -69,7 +69,7 @@ let skinit (m : Machine.t) ~cpu ~pages ~length =
                  (Table 1's "No TPM" row isolates the instruction cost). *)
               let lpc = Sea_bus.Lpc.create m.engine in
               Sea_bus.Lpc.transfer lpc ~device_wait:Time.zero ~bytes:length;
-              Ok (Sha1.digest code)
+              Ok (Sha1.digest code, None)
           | Some tpm -> (
               let caller = Sea_tpm.Tpm.Cpu cpu in
               match Sea_tpm.Tpm.hash_start tpm ~caller with
@@ -80,7 +80,7 @@ let skinit (m : Machine.t) ~cpu ~pages ~length =
                   | Ok () -> (
                       match Sea_tpm.Tpm.hash_end tpm with
                       | Error e -> Error e
-                      | Ok _pcr17 -> Ok (Sha1.digest code)))))
+                      | Ok (digest, pcr17) -> Ok (digest, Some pcr17)))))
     end
   end
 
@@ -137,8 +137,7 @@ let senter (m : Machine.t) ~cpu ~pages ~length =
                             Engine.advance m.engine
                               (Time.scale Costs.cpu_hash_per_byte length));
                         let digest = Sha1.digest code in
-                        let _pcr18 = Sea_tpm.Tpm.pcr_extend tpm 18 digest in
-                        Ok digest)))
+                        Ok (digest, Some (Sea_tpm.Tpm.pcr_extend tpm 18 digest)))))
       end
 
 let late_launch (m : Machine.t) ~cpu ~pages ~length =
@@ -198,11 +197,11 @@ let slaunch (m : Machine.t) ~cpu (secb : Secb.t) =
                 | Ok code -> (
                     match Sea_tpm.Tpm.sepcr_measure tpm ~caller handle ~code with
                     | Error e -> back_out e
-                    | Ok _value ->
+                    | Ok (digest, _value) ->
                         secb.Secb.sepcr <- Some handle;
                         secb.Secb.measured <- true;
                         core.Cpu.status <- Cpu.In_pal secb.Secb.id;
-                        Ok (Launched (Sha1.digest code)))))
+                        Ok (Launched digest))))
       end
       else begin
         insn_span m "SLAUNCH-resume" @@ fun () ->
@@ -243,7 +242,7 @@ let running_this_pal (m : Machine.t) ~cpu (secb : Secb.t) =
 let syield (m : Machine.t) ~cpu (secb : Secb.t) =
   match require_proposed m with
   | Error e -> Error e
-  | Ok (acl, tpm) ->
+  | Ok (acl, _tpm) ->
       if not (running_this_pal m ~cpu secb) then
         Error "SYIELD outside the PAL's execution"
       else begin
@@ -259,12 +258,8 @@ let syield (m : Machine.t) ~cpu (secb : Secb.t) =
                   esp = Secb.region_bytes secb;
                   registers = "";
                 };
-            (match secb.Secb.sepcr with
-            | Some handle ->
-                (* The binding survives suspension; the CPU merely stops
-                   holding the handle. Nothing to do at the TPM. *)
-                ignore (handle, tpm)
-            | None -> ());
+            (* A sePCR binding survives suspension; the CPU merely stops
+               holding the handle. Nothing to do at the TPM. *)
             let core = Machine.cpu m cpu in
             core.Cpu.status <- Cpu.Legacy;
             core.Cpu.interrupts_enabled <- true;

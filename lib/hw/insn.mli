@@ -41,29 +41,29 @@ end
 (** {1 Today's hardware} *)
 
 val skinit :
-  Machine.t -> cpu:int -> pages:int list -> length:int -> (string, string) result
+  Machine.t -> cpu:int -> pages:int list -> length:int -> (string * string option, string) result
 (** AMD late launch. [pages] hold the Secure Loader Block; [length] bytes
     (≤ 64 KB) are measured. Requires a TPM, ring-0 (modelled as: no PAL
     currently on this CPU) and {e every other core idle} (§4.2). Effects:
     DEV-protects the pages, disables interrupts, resets dynamic PCRs and
     extends PCR 17 with the SLB measurement — streaming the SLB to the TPM
-    over the LPC bus, which is where the time goes. Returns the SLB
-    measurement (= new PCR 17 preimage). *)
+    over the LPC bus, which is where the time goes. Returns the TPM's
+    digest and PCR 17, or the CPU's digest and [None] without a TPM. *)
 
 val skinit_max_bytes : int
 (** 64 KB — the DEV-covered SLB limit. *)
 
 val senter :
-  Machine.t -> cpu:int -> pages:int list -> length:int -> (string, string) result
+  Machine.t -> cpu:int -> pages:int list -> length:int -> (string * string option, string) result
 (** Intel late launch: the chipset-verified ACMod is streamed to the TPM
     and extended into PCR 17; the ACMod then hashes the PAL on the main
-    CPU and extends it into PCR 18 (§2.2.2). Returns the PAL measurement. *)
+    CPU and extends it into PCR 18 (§2.2.2). Returns the PAL hash and PCR 18. *)
 
 val senter_max_bytes : int
 (** 512 KB — the default MPT coverage. *)
 
 val late_launch :
-  Machine.t -> cpu:int -> pages:int list -> length:int -> (string, string) result
+  Machine.t -> cpu:int -> pages:int list -> length:int -> (string * string option, string) result
 (** Dispatches to {!skinit} or {!senter} per the machine's architecture. *)
 
 val vm_enter : Machine.t -> cpu:int -> unit

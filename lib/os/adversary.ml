@@ -129,9 +129,8 @@ let skinit_retry_skips_measurement (m : Machine.t) ~cpu pal ~input =
         Succeeded "fault never injected; the attack was not exercised"
       else if Sea_fault.Retry.retries retry = 0 then
         Succeeded "session succeeded without retrying an aborted launch"
-      else if
-        o.Session.identity_value <> Session.expected_identity m pal
-      then Succeeded "PAL ran with a partial identity PCR after a retried SKINIT"
+      else if o.Session.identity_value <> Pal.identity pal then
+        Succeeded "PAL ran with a partial identity PCR after a retried SKINIT"
       else Blocked "retried SKINIT re-measured from TPM_HASH_START"
 
 let join_uninvited_cpu (m : Machine.t) ~cpu secb =

@@ -76,7 +76,9 @@ let bytecode k =
           ]
 
 let with_bytecode k p =
-  { p with Pal.code = pad_to (String.length p.Pal.code) (bytecode k) }
+  Pal.of_code ~name:p.Pal.name
+    ~code:(pad_to (String.length p.Pal.code) (bytecode k))
+    ~compute_time:p.Pal.compute_time p.Pal.behavior
 
 (* One shared Pal.t per kind: every invocation of a kind must carry the
    same measurement, or sealed state created by one request would refuse
@@ -128,11 +130,15 @@ let updates_state = function Kv_update -> true | Ssh_auth | Ca_sign -> false
    measured bytes (so attestation and sealed-state binding are unchanged)
    but open-ended work, letting the serving layer feed it one request's
    worth of compute per SLAUNCH/SYIELD cycle and keep it suspended in
-   access-controlled memory between requests. *)
-let resident_pal k =
+   access-controlled memory between requests. One value per kind, shared
+   by every cold start, and never hashed again. *)
+let resident k =
   let p = pal k in
-  Pal.of_code ~name:(p.Pal.name ^ "-resident") ~code:p.Pal.code
+  Pal.with_behavior p ~name:(p.Pal.name ^ "-resident")
     ~compute_time:(Time.s 1_000_000.) (fun _ _ -> Ok "resident")
+
+let residents = Array.of_list (List.map (fun k -> lazy (resident k)) kinds)
+let resident_pal k = Lazy.force residents.(kind_index k)
 
 (* Static admission cost of one request of this kind, from the image's
    cost certificate (through the content-addressed cache, so the first

@@ -97,8 +97,8 @@ val pcr_extend_deferred : t -> int -> string -> string * Sea_sim.Time.t
 
 val hash_start : t -> caller:caller -> (unit, string) result
 val hash_data : t -> string -> (unit, string) result
-val hash_end : t -> (string, string) result
-(** Returns the new PCR 17 value. *)
+val hash_end : t -> (string * string, string) result
+(** Returns the SHA-1 of the absorbed bytes and the new PCR 17 value. *)
 
 (** {1 Sealed storage} *)
 
@@ -239,11 +239,11 @@ val sepcr_extend :
   t -> caller:caller -> Sepcr.handle -> string -> (string, string) result
 
 val sepcr_measure :
-  t -> caller:caller -> Sepcr.handle -> code:string -> (string, string) result
+  t -> caller:caller -> Sepcr.handle -> code:string -> (string * string, string) result
 (** The SLAUNCH measurement path (§5.4.1): the CPU streams the PAL's bytes
     to the TPM over the LPC bus (same per-transaction long-wait stall as
     TPM_HASH_DATA) and the TPM extends the PAL's sePCR with the SHA-1 of
-    the code. Returns the new sePCR value. *)
+    the code. Returns that SHA-1 and the new sePCR value. *)
 
 val sepcr_read : t -> caller:caller -> Sepcr.handle -> (string, string) result
 val sepcr_rebind :

@@ -105,6 +105,18 @@ let test_session_runs_behavior () =
   checks "measurement" (Pal.measurement pal) outcome.Session.measurement;
   checki "identity PCR on AMD" 17 outcome.Session.identity_pcr
 
+(* The identity value is the PCR value the launch reported: chained with
+   the exit marker, it is what the TPM's identity PCR holds afterwards. *)
+let test_session_identity_from_launch () =
+  List.iter
+    (fun (m, pcr) ->
+      let o = ok (Session.execute m ~cpu:0 (Generic.pal_gen ()) ~input:"") in
+      checks
+        (Printf.sprintf "PCR %d" pcr)
+        (Sea_crypto.Sha1.digest (o.Session.identity_value ^ Session.exit_marker))
+        (Sea_tpm.Tpm.pcr_read (Machine.tpm_exn m) pcr))
+    [ (dc5750 (), 17); (tep (), 18) ]
+
 let test_session_intel_uses_pcr18 () =
   let m = tep () in
   let pal = Pal.create ~name:"intel-echo" (fun _ i -> Ok i) in
@@ -181,7 +193,7 @@ let test_session_exit_marker_blocks_os_unseal () =
   | Error e -> Alcotest.fail ("unexpected error: " ^ e)
   | Ok _ -> Alcotest.fail "OS unsealed PAL state!");
   checks "PCR17 = identity + exit marker"
-    (Session.expected_identity_after_exit m (Generic.pal_gen ()))
+    (Session.expected_identity_after_exit (Generic.pal_gen ()))
     (Sea_tpm.Tpm.pcr_read tpm 17)
 
 let test_session_wrong_pal_cannot_unseal () =
@@ -408,6 +420,8 @@ let () =
         [
           Alcotest.test_case "runs behaviour" `Quick test_session_runs_behavior;
           Alcotest.test_case "Intel identity PCR" `Quick test_session_intel_uses_pcr18;
+          Alcotest.test_case "identity value from the launch" `Quick
+            test_session_identity_from_launch;
           Alcotest.test_case "restores platform" `Quick test_session_restores_platform;
           Alcotest.test_case "failure cleanup" `Quick test_session_behavior_failure_cleans_up;
           Alcotest.test_case "requires TPM" `Quick test_session_no_tpm_fails;

@@ -226,12 +226,13 @@ let test_skinit_measures_and_protects () =
   let m = Machine.create (Machine.low_fidelity Machine.hp_dc5750) in
   let pages, code = load_pal m 4096 in
   Machine.idle_other_cpus m ~except:0;
-  let measurement = ok (Insn.skinit m ~cpu:0 ~pages ~length:4096) in
+  let measurement, pcr17 = ok (Insn.skinit m ~cpu:0 ~pages ~length:4096) in
   checks "returns H(code)" (Sea_crypto.Sha1.digest code) measurement;
   let tpm = Machine.tpm_exn m in
   checks "PCR17 extended"
     (Sea_crypto.Sha1.digest (String.make 20 '\000' ^ measurement))
     (Sea_tpm.Tpm.pcr_read tpm 17);
+  checkb "reports PCR17" true (pcr17 = Some (Sea_tpm.Tpm.pcr_read tpm 17));
   checkb "DEV protects SLB" true (Memctrl.dev_protected m.Machine.memctrl (List.hd pages));
   checkb "interrupts disabled" false (Machine.cpu m 0).Cpu.interrupts_enabled
 
@@ -290,7 +291,7 @@ let test_senter_extends_pcr17_and_18 () =
   let m = Machine.create (Machine.low_fidelity Machine.intel_tep) in
   let pages, code = load_pal m 4096 in
   Machine.idle_other_cpus m ~except:0;
-  let measurement = ok (Insn.senter m ~cpu:0 ~pages ~length:4096) in
+  let measurement, pcr18 = ok (Insn.senter m ~cpu:0 ~pages ~length:4096) in
   checks "returns PAL hash" (Sea_crypto.Sha1.digest code) measurement;
   let tpm = Machine.tpm_exn m in
   checkb "PCR17 holds ACMod chain (not -1, not 0)" true
@@ -298,7 +299,8 @@ let test_senter_extends_pcr17_and_18 () =
      v <> String.make 20 '\000' && v <> String.make 20 '\xff');
   checks "PCR18 holds the PAL"
     (Sea_crypto.Sha1.digest (String.make 20 '\000' ^ measurement))
-    (Sea_tpm.Tpm.pcr_read tpm 18)
+    (Sea_tpm.Tpm.pcr_read tpm 18);
+  checkb "reports PCR18" true (pcr18 = Some (Sea_tpm.Tpm.pcr_read tpm 18))
 
 (* --- VM transitions (Table 2) --- *)
 

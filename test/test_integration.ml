@@ -35,7 +35,7 @@ let test_remote_attestation_protocol () =
   in
   let expected =
     Sea_crypto.Sha1.digest
-      (Sea_crypto.Sha1.digest (Session.expected_identity m pal ^ verdict_ext)
+      (Sea_crypto.Sha1.digest (Pal.identity pal ^ verdict_ext)
       ^ Session.exit_marker)
   in
   ok
@@ -195,6 +195,26 @@ let test_slaunch_and_sfi_pins () =
       checks (name ^ " SFI chain root") identity (hex (Sfi_session.chain sfi)))
     (shipped_pals ())
 
+(* A PAL's digests are its code's: the measurement is SHA-1 of the
+   bytes, the identity one extend of it from zero. A resident PAL is one
+   shared value per kind, measuring as its kind's PAL. *)
+let test_pal_owns_its_digests () =
+  let sha1 = Sea_crypto.Sha1.digest in
+  List.iter
+    (fun (name, pal, _) ->
+      checkb (name ^ " measurement") true (Pal.measurement pal = sha1 pal.Pal.code);
+      checkb (name ^ " identity") true
+        (Pal.identity pal = sha1 (String.make 20 '\000' ^ Pal.measurement pal)))
+    (shipped_pals ());
+  List.iter
+    (fun k ->
+      let name = Sea_serve.Workload.kind_name k in
+      let resident = Sea_serve.Workload.resident_pal k in
+      checkb (name ^ " resident shared") true (resident == Sea_serve.Workload.resident_pal k);
+      checkb (name ^ " resident measurement") true
+        (Pal.measurement resident = Pal.measurement (Sea_serve.Workload.pal k)))
+    Sea_serve.Workload.kinds
+
 (* --- Sealed state is platform-bound --- *)
 
 let test_seal_does_not_travel_across_machines () =
@@ -327,6 +347,8 @@ let () =
           Alcotest.test_case "shipped PALs" `Quick test_launch_pins;
           Alcotest.test_case "SLAUNCH and SFI" `Quick test_slaunch_and_sfi_pins;
         ] );
+      ( "pal-identity",
+        [ Alcotest.test_case "shipped PALs and residents" `Quick test_pal_owns_its_digests ] );
       ( "sealed-state",
         [
           Alcotest.test_case "platform-bound" `Quick test_seal_does_not_travel_across_machines;
