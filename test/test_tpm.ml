@@ -190,6 +190,19 @@ let test_seal_multi_pcr_policy () =
   checkb "one mismatch suffices to refuse" true
     (Tpm.unseal tpm ~caller blob = Error "PCR policy mismatch")
 
+(* Known answer for the sealed-blob wire format: the blob is a pure
+   function of the TPM's seed, its SRK and the DRBG draw order (AEAD key,
+   nonce, RSA padding), so any change to the codec shows here. *)
+let test_seal_known_answer () =
+  let _, tpm = fresh () in
+  let policy = [ (17, Tpm.pcr_read tpm 17) ] in
+  let blob =
+    Result.get_ok (Tpm.seal tpm ~caller:(Tpm.Cpu 0) ~pcr_policy:policy "secret")
+  in
+  checks "Broadcom/512 sealed blob"
+    "62dc47238364685ef3c22d919e148af7216a7b6a4363bbcf6e87490f6a5594a5"
+    (Sha256.hex blob)
+
 (* --- Quote --- *)
 
 let test_quote_verifies () =
@@ -455,6 +468,8 @@ let () =
           Alcotest.test_case "corrupted blob" `Quick test_unseal_corrupted_blob;
           Alcotest.test_case "large payload" `Quick test_seal_large_payload;
           Alcotest.test_case "multi-PCR policy" `Quick test_seal_multi_pcr_policy;
+          Alcotest.test_case "sealed blob known answer" `Quick
+            test_seal_known_answer;
         ] );
       ( "quote",
         [

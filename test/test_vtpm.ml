@@ -71,6 +71,18 @@ let test_vpcr_chains_independent () =
   checkb "stale virtual policy refuses" true
     (match Vtpm.unseal i0 blob with Error _ -> true | Ok _ -> false)
 
+(* Known answer for the vTPM's sealed-blob wire format: a pure function
+   of the instance's seed, key and DRBG draw order. *)
+let test_seal_known_answer () =
+  let _, tpm = mk () in
+  let v = mux ~instances:2 tpm in
+  let i0 = Vtpm.instance v 0 in
+  let policy = [ (17, Vtpm.pcr_value i0 17) ] in
+  let blob = ok (Vtpm.seal i0 ~binding:"tenant-0" ~pcr_policy:policy "secret") in
+  checks "instance 0 sealed blob"
+    "f3523584111da67cc824a546bc3a23de126a24582dcb8ed82e909159da9ba584"
+    (Sea_crypto.Sha256.hex blob)
+
 (* --- anchoring --- *)
 
 let test_anchor_changes_iff_state_changes () =
@@ -291,6 +303,8 @@ let () =
         [
           Alcotest.test_case "vPCR chains independent" `Quick
             test_vpcr_chains_independent;
+          Alcotest.test_case "sealed blob known answer" `Quick
+            test_seal_known_answer;
         ] );
       ( "anchoring",
         [
