@@ -732,23 +732,6 @@ let vtpm_arg =
   in
   Arg.(value & opt (some int) None & info [ "vtpm" ] ~docv:"N" ~docs:s_vtpm ~doc)
 
-let vtpm_batch_arg =
-  let doc =
-    "Anchor-pipeline batch size: hardware anchor extends are coalesced \
-     into one LPC round-trip per $(docv) state changes. Reports are \
-     byte-identical across batch sizes; only the anchor pipeline's \
-     virtual-time cost changes."
-  in
-  Arg.(value & opt int 16 & info [ "vtpm-batch" ] ~docv:"N" ~docs:s_vtpm ~doc)
-
-(* Shared by serve and cluster: both flags follow the exit-1-plus-message
-   convention of --rate/--timer rather than raising from Server.config. *)
-let validate_vtpm_flags ~vtpm ~vtpm_batch =
-  (match vtpm with
-  | Some k when k <= 0 -> or_die (Error "--vtpm must be positive")
-  | _ -> ());
-  if vtpm_batch <= 0 then or_die (Error "--vtpm-batch must be positive")
-
 (* Parse the --fault-kinds / --fault-rate pair shared by serve and
    cluster into an optional fault spec. *)
 let fault_spec_of_flags ~fault_rate ~fault_kinds ~fault_seed =
@@ -776,39 +759,69 @@ let fault_spec_of_flags ~fault_rate ~fault_kinds ~fault_seed =
     Some (Sea_fault.Fault.spec ~kinds ~seed:fault_seed ~rate:fault_rate ())
   else None
 
-let run_serve machine_config mode rate duration_s cores tenants depth
-    discipline analyze admission cost_budget timer_ms deadline_ms closed
-    think_ms seed fault_rate fault_kinds fault_seed vtpm vtpm_batch trace_file
-    trace_summary =
+(* What serve and cluster both take from the command line: each
+   machine's hardware, the per-machine serving configuration and the
+   arrival process, validated and built once from the same flags. *)
+type serving = {
+  machine_config : Machine.config;
+  serve : Sea_serve.Server.config;
+  process : [ `Open of float | `Closed of int * Time.t ];
+  deadline : Time.t option;
+  seed : int;
+  fault_seed : int;
+  duration_s : float;
+}
+
+let serving machine_config mode rate duration_s cores depth discipline analyze
+    admission cost_budget timer_ms deadline_ms closed think_ms seed fault_rate
+    fault_kinds fault_seed vtpm =
   (* Validate the numeric flags here, with flag names in the messages,
      instead of letting Invalid_argument escape from the library
      constructors. *)
   if rate <= 0. then or_die (Error "--rate must be positive");
   if duration_s <= 0. then or_die (Error "--duration must be positive");
   if timer_ms <= 0. then or_die (Error "--timer must be positive");
-  validate_vtpm_flags ~vtpm ~vtpm_batch;
+  (match vtpm with
+  | Some k when k <= 0 -> or_die (Error "--vtpm must be positive")
+  | _ -> ());
   let mode = mode_of_flag mode in
   let analyze = gate_of_flag analyze in
   let discipline = discipline_of_flags ~discipline ~admission ~cost_budget in
   let faults = fault_spec_of_flags ~fault_rate ~fault_kinds ~fault_seed in
-  try
-    let config = serving_machine_config machine_config mode cores in
-    let m =
-      Machine.create ~engine:(Engine.create ~seed:(Int64.of_int seed) ()) config
-    in
-    let cfg =
+  let machine_config = serving_machine_config machine_config mode cores in
+  let serve =
+    try
       Sea_serve.Server.config ~queue_depth:depth ~discipline ~analyze
-        ~preemption_timer:(Time.ms timer_ms) ?faults ?vtpm ~vtpm_batch ~mode
+        ~preemption_timer:(Time.ms timer_ms) ?faults ?vtpm ~mode
         ~duration:(Time.s duration_s) ()
+    with Invalid_argument e -> or_die (Error e)
+  in
+  let process =
+    match closed with
+    | Some clients -> `Closed (clients, Time.ms think_ms)
+    | None -> `Open rate
+  in
+  { machine_config; serve; process; deadline = Option.map Time.ms deadline_ms;
+    seed; fault_seed; duration_s }
+
+let serving_term =
+  Term.(
+    const serving $ machine_arg $ serve_mode_arg $ rate_arg $ duration_arg
+    $ cores_arg $ depth_arg $ discipline_arg $ analyze_gate_arg
+    $ admission_cost_arg $ cost_budget_arg $ timer_arg $ deadline_arg
+    $ closed_arg $ think_arg $ seed_arg $ fault_rate_arg $ fault_kinds_arg
+    $ fault_seed_arg $ vtpm_arg)
+
+let run_serve s tenants trace_file trace_summary =
+  try
+    let m =
+      Machine.create ~engine:(Engine.create ~seed:(Int64.of_int s.seed) ())
+        s.machine_config
     in
-    let deadline = Option.map Time.ms deadline_ms in
-    let process =
-      match closed with
-      | Some clients -> `Closed (clients, Time.ms think_ms)
-      | None -> `Open rate
+    let workload =
+      Sea_serve.Workload.preset ?deadline:s.deadline ~tenants s.process
     in
-    let workload = Sea_serve.Workload.preset ?deadline ~tenants process in
-    let run () = or_die (Sea_serve.Server.run m cfg workload) in
+    let run () = or_die (Sea_serve.Server.run m s.serve workload) in
     let report =
       match (trace_file, trace_summary) with
       | None, false -> run ()
@@ -867,12 +880,8 @@ let serve_cmd =
           the same seed to see what each isolation backend buys under \
           load.")
     Term.(
-      const run_serve $ machine_arg $ serve_mode_arg $ rate_arg $ duration_arg
-      $ cores_arg $ tenants_arg $ depth_arg $ discipline_arg
-      $ analyze_gate_arg $ admission_cost_arg $ cost_budget_arg $ timer_arg
-      $ deadline_arg $ closed_arg $ think_arg $ seed_arg $ fault_rate_arg
-      $ fault_kinds_arg $ fault_seed_arg $ vtpm_arg $ vtpm_batch_arg
-      $ trace_arg $ trace_summary_arg)
+      const run_serve $ serving_term $ tenants_arg $ trace_arg
+      $ trace_summary_arg)
 
 (* --- cluster --- *)
 
@@ -988,51 +997,29 @@ let shape_of_flag ~duration_s shape =
            (Printf.sprintf "--shape must be steady, diurnal or flash, not %S"
               other))
 
-let run_cluster machine_config mode machines shards policy rate duration_s
-    cores tenants depth discipline analyze admission cost_budget timer_ms
-    deadline_ms closed think_ms seed fault_rate fault_kinds fault_seed vtpm
-    vtpm_batch mttf mttr partition link_loss failover autoscale scale_interval
-    hot_threshold shape zipf trace_prefix =
-  (* Fleet-shape validation first: bad --machines/--shards must exit 1
-     with a usage message, never escape as a raised Invalid_argument. *)
-  let cfg =
-    try Sea_cluster.Cluster.config ~shards ~policy ~machines ()
-    with Invalid_argument e ->
-      Printf.eprintf "error: %s\n%s\n" e cluster_usage;
-      exit 1
-  in
-  if rate <= 0. then or_die (Error "--rate must be positive");
-  if duration_s <= 0. then or_die (Error "--duration must be positive");
-  if timer_ms <= 0. then or_die (Error "--timer must be positive");
-  validate_vtpm_flags ~vtpm ~vtpm_batch;
+(* Fleet-shape validation comes first: bad --machines/--shards must exit
+   1 with a usage message, never escape as a raised Invalid_argument. *)
+let fleet machines shards policy =
+  try Sea_cluster.Cluster.config ~shards ~policy ~machines ()
+  with Invalid_argument e ->
+    Printf.eprintf "error: %s\n%s\n" e cluster_usage;
+    exit 1
+
+let run_cluster cfg s tenants mttf mttr partition link_loss failover autoscale
+    scale_interval hot_threshold shape zipf trace_prefix =
+  let machines = cfg.Sea_cluster.Cluster.machines in
   let churn =
-    churn_of_flags ~machines ~duration_s ~mttf ~mttr ~partition ~link_loss
-      ~failover ~fault_seed
+    churn_of_flags ~machines ~duration_s:s.duration_s ~mttf ~mttr ~partition
+      ~link_loss ~failover ~fault_seed:s.fault_seed
   in
   let autoscale =
     autoscale_of_flags ~autoscale ~scale_interval ~hot_threshold
   in
-  let shape = shape_of_flag ~duration_s shape in
+  let shape = shape_of_flag ~duration_s:s.duration_s shape in
   (match zipf with
   | Some a when a <= 0. -> or_die (Error "--zipf must be positive")
   | _ -> ());
-  let mode = mode_of_flag mode in
-  let analyze = gate_of_flag analyze in
-  let discipline = discipline_of_flags ~discipline ~admission ~cost_budget in
-  let faults = fault_spec_of_flags ~fault_rate ~fault_kinds ~fault_seed in
   try
-    let machine_config = serving_machine_config machine_config mode cores in
-    let serve =
-      Sea_serve.Server.config ~queue_depth:depth ~discipline ~analyze
-        ~preemption_timer:(Time.ms timer_ms) ?faults ?vtpm ~vtpm_batch ~mode
-        ~duration:(Time.s duration_s) ()
-    in
-    let deadline = Option.map Time.ms deadline_ms in
-    let process =
-      match closed with
-      | Some clients -> `Closed (clients, Time.ms think_ms)
-      | None -> `Open rate
-    in
     let tenants =
       match tenants with Some n -> n | None -> machines * 3
     in
@@ -1040,7 +1027,8 @@ let run_cluster machine_config mode machines shards policy rate duration_s
       match zipf with None -> `Even | Some alpha -> `Zipf alpha
     in
     let workload =
-      Sea_serve.Workload.preset ?deadline ~shape ~popularity ~tenants process
+      Sea_serve.Workload.preset ?deadline:s.deadline ~shape ~popularity
+        ~tenants s.process
     in
     let sinks =
       match trace_prefix with
@@ -1051,9 +1039,10 @@ let run_cluster machine_config mode machines shards policy rate duration_s
        merged report, which CI diffs byte-for-byte across shard counts. *)
     let t0 = Unix.gettimeofday () in
     let result =
-      Sea_cluster.Cluster.run ~seed:(Int64.of_int seed)
+      Sea_cluster.Cluster.run ~seed:(Int64.of_int s.seed)
         ?trace:(Option.map (fun arr i -> arr.(i)) sinks)
-        ?churn ?autoscale cfg ~machine_config ~serve workload
+        ?churn ?autoscale cfg ~machine_config:s.machine_config ~serve:s.serve
+        workload
     in
     let wall = Unix.gettimeofday () -. t0 in
     let report = or_die result in
@@ -1072,8 +1061,8 @@ let run_cluster machine_config mode machines shards policy rate duration_s
           arr
     | _ -> ());
     Printf.eprintf "cluster: %d machines on %d shard%s, %.3fs wall\n" machines
-      shards
-      (if shards = 1 then "" else "s")
+      cfg.Sea_cluster.Cluster.shards
+      (if cfg.Sea_cluster.Cluster.shards = 1 then "" else "s")
       wall;
     print_endline (Sea_cluster.Fleet_report.render report)
   with Invalid_argument e -> or_die (Error e)
@@ -1219,15 +1208,11 @@ let cluster_cmd =
           report (true cross-machine percentiles). Identical seeds give a \
           byte-identical fleet report regardless of $(b,--shards).")
     Term.(
-      const run_cluster $ machine_arg $ serve_mode_arg $ machines_arg
-      $ shards_arg $ policy_arg $ rate_arg $ duration_arg $ cores_arg
-      $ tenants_arg $ depth_arg $ discipline_arg $ analyze_gate_arg
-      $ admission_cost_arg $ cost_budget_arg $ timer_arg $ deadline_arg
-      $ closed_arg $ think_arg $ seed_arg $ fault_rate_arg $ fault_kinds_arg
-      $ fault_seed_arg $ vtpm_arg $ vtpm_batch_arg $ mttf_arg $ mttr_arg
-      $ partition_arg $ link_loss_arg $ failover_arg $ autoscale_arg
-      $ scale_interval_arg $ hot_threshold_arg $ shape_arg $ zipf_arg
-      $ trace_arg)
+      const run_cluster
+      $ (const fleet $ machines_arg $ shards_arg $ policy_arg)
+      $ serving_term $ tenants_arg $ mttf_arg $ mttr_arg $ partition_arg
+      $ link_loss_arg $ failover_arg $ autoscale_arg $ scale_interval_arg
+      $ hot_threshold_arg $ shape_arg $ zipf_arg $ trace_arg)
 
 (* --- main --- *)
 

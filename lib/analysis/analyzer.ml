@@ -17,11 +17,6 @@ let default_policy =
     require_bounded = false;
   }
 
-let gate_to_string = function
-  | Off -> "off"
-  | WarnOnly -> "warn-only"
-  | Enforce -> "enforce"
-
 let all_services =
   [
     Isa.svc_input_len; Isa.svc_input_read; Isa.svc_output; Isa.svc_seal;

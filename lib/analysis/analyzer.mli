@@ -69,5 +69,3 @@ val check : ?policy:policy -> gate:gate -> string -> (unit, string) result
 (** The launch gate: [Ok] under [Off]/[WarnOnly] or when the report is
     clean; [Error] (with a one-line summary of the first error) when
     [gate = Enforce] and the report has errors. *)
-
-val gate_to_string : gate -> string

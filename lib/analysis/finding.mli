@@ -23,8 +23,6 @@ type t = {
 
 val make : rule:string -> severity:severity -> offset:int -> string -> t
 
-val severity_to_string : severity -> string
-
 val compare : t -> t -> int
 (** Orders by severity (errors first), then offset, then rule. *)
 

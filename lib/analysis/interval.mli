@@ -16,7 +16,6 @@ val make : lo:int -> hi:int -> t
 (** Clamped to [\[0, max32\]]; [invalid_arg] if [lo > hi] after clamping. *)
 
 val is_const : t -> bool
-val is_top : t -> bool
 val equal : t -> t -> bool
 
 val join : t -> t -> t

@@ -24,9 +24,16 @@ let behavior ~key_bits services input =
               Ok (Rsa.sign key csr)))
   | Some _ | None -> Error "unknown CA command"
 
-let pal ?(key_bits = 512) () =
-  Pal.create ~name:"cert-authority" ~code_size:(16 * 1024)
-    ~compute_time:(Sea_sim.Time.ms 2.) (behavior ~key_bits)
+let name = "cert-authority"
+let code_size = 16 * 1024
+let compute_time = Sea_sim.Time.ms 2.
+let default_key_bits = 512
+
+let pal ?(key_bits = default_key_bits) () =
+  Pal.create ~name ~code_size ~compute_time (behavior ~key_bits)
+
+let of_code code =
+  Pal.of_code ~name ~code ~compute_time (behavior ~key_bits:default_key_bits)
 
 type t = { pal : Pal.t; public : Rsa.public; sealed_key : string }
 

@@ -15,6 +15,13 @@ val pal : ?key_bits:int -> unit -> Sea_core.Pal.t
     [sign blob csr]. [key_bits] defaults to 512 — small enough to keep
     RSA generation inside the simulated PAL fast in tests. *)
 
+val code_size : int
+(** The size of {!pal}'s image. *)
+
+val of_code : string -> Sea_core.Pal.t
+(** [pal ()] with [code] as its measured bytes instead of synthetic
+    filler. *)
+
 type t = {
   pal : Sea_core.Pal.t;
   public : Sea_crypto.Rsa.public;

@@ -27,9 +27,11 @@ let behavior services input =
           | _ -> Error "sealed record is corrupt"))
   | Some _ | None -> Error "unknown SSH command"
 
-let pal () =
-  Pal.create ~name:"ssh-password" ~code_size:(8 * 1024)
-    ~compute_time:(Sea_sim.Time.ms 1.) behavior
+let name = "ssh-password"
+let code_size = 8 * 1024
+let compute_time = Sea_sim.Time.ms 1.
+let pal () = Pal.create ~name ~code_size ~compute_time behavior
+let of_code code = Pal.of_code ~name ~code ~compute_time behavior
 
 type account = { user : string; sealed_record : string }
 

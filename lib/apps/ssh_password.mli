@@ -11,6 +11,13 @@ val pal : unit -> Sea_core.Pal.t
 (** Commands: [setup user password] → sealed record;
     [auth record attempt] → verdict. *)
 
+val code_size : int
+(** The size of {!pal}'s image. *)
+
+val of_code : string -> Sea_core.Pal.t
+(** {!pal} with [code] as its measured bytes instead of synthetic
+    filler. *)
+
 type account = {
   user : string;
   sealed_record : string;  (** Stored by the untrusted OS. *)

@@ -62,31 +62,6 @@ let batch_bytes chunks =
 let batch_transfer_time t ~device_wait ~chunks =
   transfer_time t ~device_wait ~bytes:(batch_bytes chunks)
 
-let batch_transfer t ~device_wait ~chunks =
-  let bytes = batch_bytes chunks in
-  Sea_trace.Trace.with_span t.engine ~cat:"lpc"
-    ~args:(fun () ->
-      [
-        ("bytes", Sea_trace.Trace.Int bytes);
-        ("chunks", Sea_trace.Trace.Int (List.length chunks));
-      ])
-    "batch-transfer"
-    (fun () ->
-      let d = transfer_time t ~device_wait ~bytes in
-      Engine.advance t.engine d;
-      (match t.faults with
-      | Some plan when bytes > 0 && Sea_fault.Fault.fires plan Lpc_stall ->
-          let extra = Sea_fault.Fault.stall plan ~base:d in
-          Sea_trace.Trace.instant t.engine ~cat:"fault"
-            ~args:(fun () ->
-              [ ("stall_ns", Sea_trace.Trace.Int (Time.to_ns extra)) ])
-            "lpc-stall";
-          Engine.advance t.engine extra
-      | _ -> ());
-      t.total_bytes <- t.total_bytes + bytes;
-      t.total_transactions <- t.total_transactions + transactions_for t bytes);
-  Sea_trace.Trace.count t.engine "lpc.bytes" bytes
-
 let total_bytes t = t.total_bytes
 let total_transactions t = t.total_transactions
 

@@ -65,13 +65,6 @@ val batch_transfer_time :
     [sum (transfer_time chunk)]; equal when every chunk is a multiple of
     [data_bytes_per_txn]. Non-positive chunks contribute nothing. *)
 
-val batch_transfer :
-  t -> device_wait:Sea_sim.Time.t -> chunks:int list -> unit
-(** Perform the coalesced burst: advances the engine clock by
-    {!batch_transfer_time}, records traffic statistics, and draws at most
-    one injected [Lpc_stall] for the whole batch (one bus tenure, one
-    stall opportunity — same as a single {!transfer}). *)
-
 val total_bytes : t -> int
 (** Cumulative payload bytes moved over this bus instance. *)
 

@@ -15,19 +15,14 @@ let config ?(shards = 1) ?(policy = Router.Round_robin) ~machines () =
     invalid_arg "--shards must not exceed --machines (idle shards)";
   { machines; shards; policy }
 
-type churn_config = {
-  plan : Machine_fault.spec;
-  failover : bool;
-  heartbeat : Time.t;
-  dead_after : int;
-}
+type churn_config = { plan : Machine_fault.spec; failover : bool }
 
-let churn ?(failover = true) ?(heartbeat = Time.ms 100.) ?(dead_after = 3)
-    plan () =
-  if Time.compare heartbeat Time.zero <= 0 then
-    invalid_arg "Cluster.churn: heartbeat must be positive";
-  if dead_after < 1 then invalid_arg "Cluster.churn: dead_after must be >= 1";
-  { plan; failover; heartbeat; dead_after }
+let churn ?(failover = true) plan () = { plan; failover }
+
+(* The failure detector: a heartbeat tick every 100 ms, and a machine
+   that misses 3 in a row is declared dead. *)
+let heartbeat = Time.ms 100.
+let dead_after = 3
 
 (* Force every lazily-built shared value (the per-kind application PALs,
    and under cost-aware admission their certificates) on the calling
@@ -66,8 +61,8 @@ type outage_view = {
   ov_misses : int;  (** Heartbeat ticks missed, capped at [dead_after]. *)
 }
 
-let view_outages ~churn:c ~duration outages_per_machine =
-  let hb = Time.to_ns c.heartbeat in
+let view_outages ~duration outages_per_machine =
+  let hb = Time.to_ns heartbeat in
   let tick_after t = ((Time.to_ns t / hb) + 1) * hb in
   let views = ref [] in
   Array.iteri
@@ -77,7 +72,7 @@ let view_outages ~churn:c ~duration outages_per_machine =
           if Time.compare o.start duration < 0 then begin
             let until = Time.min o.until duration in
             let first_miss = tick_after o.start in
-            let raw_detect = first_miss + ((c.dead_after - 1) * hb) in
+            let raw_detect = first_miss + ((dead_after - 1) * hb) in
             let detect =
               (* The detector fires only if the machine is still silent
                  at the threshold tick and the run is still going. *)
@@ -92,7 +87,7 @@ let view_outages ~churn:c ~duration outages_per_machine =
             let misses =
               if first_miss >= Time.to_ns until then 0
               else
-                Stdlib.min c.dead_after
+                Stdlib.min dead_after
                   (((Time.to_ns until - first_miss) / hb) + 1)
             in
             views :=
@@ -136,11 +131,7 @@ let run ?(seed = 1L) ?trace ?churn:churn_cfg ?autoscale:auto_cfg cfg
   let failover_on =
     match churn_cfg with Some c -> c.failover | None -> false
   in
-  if Option.is_some serve.Server.retry then
-    Error
-      "cluster: leave the serve config's retry policy unset — retry \
-       counters are per machine and each machine builds its own"
-  else if Option.is_some auto_cfg && cfg.policy <> Router.Hash_tenant then
+  if Option.is_some auto_cfg && cfg.policy <> Router.Hash_tenant then
     Error
       "cluster: --autoscale needs --policy hash — ring resizing is \
        consistent-hash based"
@@ -232,7 +223,7 @@ let run ?(seed = 1L) ?trace ?churn:churn_cfg ?autoscale:auto_cfg cfg
       | None -> (Array.make n [], [])
       | Some c ->
           let o = Machine_fault.plans c.plan ~duration ~machines:n in
-          (o, view_outages ~churn:c ~duration o)
+          (o, view_outages ~duration o)
     in
     let ticks =
       match auto_cfg with

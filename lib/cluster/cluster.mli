@@ -33,8 +33,9 @@
 
     With a {!churn_config}, the run injects machine-scoped failures from
     a deterministic {!Sea_fault.Machine_fault} plan and detects them
-    with a virtual-time heartbeat detector: a machine that misses
-    [dead_after] consecutive heartbeats is declared dead and its
+    with a virtual-time heartbeat detector, ticking every 100 ms: a
+    machine that misses 3 consecutive heartbeats is declared dead (so
+    detection takes 300 ms, to the next tick) and its
     tenants re-route over the consistent-hash ring minus the dead node
     ({!Router.reroute}). In proposed mode each
     displaced tenant's resident PALs fail over by sealed-state migration
@@ -71,23 +72,11 @@ type churn_config = {
   failover : bool;
       (** [true]: detect, re-route and migrate; [false]: machines fail
           in place and their traffic black-holes for the outage. *)
-  heartbeat : Sea_sim.Time.t;  (** Heartbeat tick interval. *)
-  dead_after : int;
-      (** Consecutive missed heartbeats before a machine is declared
-          dead. Detection latency is
-          [heartbeat * dead_after] (to the next tick). *)
 }
 
 val churn :
-  ?failover:bool ->
-  ?heartbeat:Sea_sim.Time.t ->
-  ?dead_after:int ->
-  Sea_fault.Machine_fault.spec ->
-  unit ->
-  churn_config
-(** Defaults: failover on, 100 ms heartbeat, dead after 3 misses.
-    Raises [Invalid_argument] unless [heartbeat > 0] and
-    [dead_after >= 1]. *)
+  ?failover:bool -> Sea_fault.Machine_fault.spec -> unit -> churn_config
+(** Default: failover on. *)
 
 val run :
   ?seed:int64 ->
@@ -106,9 +95,7 @@ val run :
 
     [serve] is the per-machine serving configuration. Its [faults] spec,
     if any, is re-seeded per machine from the spec's own seed so fault
-    schedules are machine-independent; its [retry] policy must be unset
-    ([Error] otherwise — a retry policy carries mutable counters that
-    must not be shared across machines; each machine builds its own).
+    schedules are machine-independent.
 
     [trace], when given, supplies machine [i]'s private sink; the sink
     is installed around that machine's serve only (in whichever domain

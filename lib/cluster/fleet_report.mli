@@ -134,13 +134,6 @@ val merge :
 val goodput_per_s : t -> float
 (** Fleet goodput: total completions over the fleet window. *)
 
-val machine_goodput_per_s : machine_row -> float
-(** One machine's goodput over its own window; [0.] for an idle row. *)
-
-val recovered_goodput_per_s : t -> float
-(** Failed-over tenants' completions on survivors over the fleet
-    window; [0.] without churn. *)
-
 val robustness_active : t -> bool
 (** Whether any fault/retry/breaker counter is non-zero anywhere in the
     fleet; gates the extra report lines exactly like

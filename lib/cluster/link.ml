@@ -1,8 +1,6 @@
 open Sea_sim
 
 type t = {
-  latency : Time.t;
-  bytes_per_us : int;
   loss : float;
   rng : Rng.t;
   mutable sends : int;
@@ -10,18 +8,17 @@ type t = {
   mutable bytes : int;
 }
 
-let create ?(latency = Time.us 50.) ?(bytes_per_us = 125) ?(loss = 0.) rng =
-  if Time.compare latency Time.zero < 0 then
-    invalid_arg "Link.create: latency must be non-negative";
-  if bytes_per_us < 1 then
-    invalid_arg "Link.create: bytes_per_us must be positive";
+(* One-way latency and bandwidth (~1 Gbit/s). *)
+let latency = Time.us 50.
+let bytes_per_us = 125
+
+let create ?(loss = 0.) rng =
   if not (loss >= 0. && loss <= 1.) then
     invalid_arg "Link.create: loss must be in [0, 1]";
-  { latency; bytes_per_us; loss; rng = Rng.split rng; sends = 0; drops = 0;
-    bytes = 0 }
+  { loss; rng = Rng.split rng; sends = 0; drops = 0; bytes = 0 }
 
-let transfer_time t ~bytes =
-  Time.add t.latency (Time.us (float_of_int bytes /. float_of_int t.bytes_per_us))
+let transfer_time _ ~bytes =
+  Time.add latency (Time.us (float_of_int bytes /. float_of_int bytes_per_us))
 
 let send t engine payload =
   let bytes = String.length payload in

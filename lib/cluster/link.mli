@@ -13,12 +13,10 @@ open Sea_sim
 
 type t
 
-val create :
-  ?latency:Time.t -> ?bytes_per_us:int -> ?loss:float -> Rng.t -> t
-(** Defaults: 50 us one-way latency, 125 bytes/us (~1 Gbit/s), lossless.
-    The drop stream is split off the given generator. Raises
-    [Invalid_argument] on a negative latency, a non-positive bandwidth
-    or a loss outside [0, 1]. *)
+val create : ?loss:float -> Rng.t -> t
+(** A link with 50 us one-way latency and 125 bytes/us (~1 Gbit/s),
+    lossless by default. The drop stream is split off the given
+    generator. Raises [Invalid_argument] on a loss outside [0, 1]. *)
 
 val send : t -> Engine.t -> string -> (unit, string) result
 (** Ship [payload] over the link, advancing [engine] (the receiving

@@ -22,15 +22,6 @@ let of_cli_name s =
   | "sfi" -> Some Sfi
   | _ -> None
 
-type op =
-  | Op_launch
-  | Op_resume
-  | Op_yield
-  | Op_release
-  | Op_quote
-  | Op_seal
-  | Op_unseal
-
 type instance = {
   kind : kind;
   run_slice :
@@ -50,11 +41,8 @@ type instance = {
 
 type t = {
   kind : kind;
-  name : string;
-  resident : bool;
   check_machine : Machine.t -> (unit, string) result;
   pool : Machine.t -> int;
-  extra_cost : op -> Time.t;
   oneshot :
     Machine.t ->
     cpu:int ->
@@ -106,18 +94,13 @@ let drive_oneshot launch m ~cpu ?preemption_timer ?analyze ?retry ?tpm_cap
       inst.release ();
       result
 
-let no_extra_cost (_ : op) = Time.zero
-
 (* --- Today's hardware: a full Flicker-style session per execution --- *)
 
 let current =
   {
     kind = Current;
-    name = kind_name Current;
-    resident = false;
     check_machine = (fun _ -> Ok ());
     pool = (fun _ -> 0);
-    extra_cost = no_extra_cost;
     oneshot =
       (fun m ~cpu ?preemption_timer:_ ?analyze ?retry ?tpm_cap pal ~input ->
         match Session.execute m ~cpu ?analyze ?retry ?tpm_cap pal ~input with
@@ -184,8 +167,6 @@ let proposed_launch m ~cpu ?preemption_timer ?analyze ?retry ?tpm_cap pal
 let proposed =
   {
     kind = Proposed;
-    name = kind_name Proposed;
-    resident = true;
     check_machine =
       (fun m ->
         if not m.Machine.config.Machine.proposed then
@@ -194,7 +175,6 @@ let proposed =
           Error "proposed mode requires at least one sePCR"
         else Ok ());
     pool = (fun m -> m.Machine.config.Machine.sepcr_count);
-    extra_cost = no_extra_cost;
     oneshot =
       (fun m ~cpu ?preemption_timer ?analyze ?retry ?tpm_cap pal ~input ->
         drive_oneshot proposed_launch m ~cpu ?preemption_timer ?analyze
@@ -235,22 +215,12 @@ let sfi_launch m ~cpu ?preemption_timer ?analyze ?retry ?tpm_cap pal ~input =
         }
 
 let sfi =
-  let p = Sfi_session.default_profile in
   {
     kind = Sfi;
-    name = kind_name Sfi;
-    resident = true;
     (* Software isolation asks nothing of the platform: it runs on the
        commodity configs, proposed variants and TPM-less machines alike. *)
     check_machine = (fun _ -> Ok ());
     pool = (fun _ -> max_int);
-    extra_cost =
-      (function
-      | Op_launch -> p.Sfi_session.launch_base
-      | Op_resume | Op_yield -> p.Sfi_session.transition
-      | Op_release | Op_quote -> Time.zero
-      | Op_seal -> p.Sfi_session.seal_base
-      | Op_unseal -> p.Sfi_session.unseal_base);
     oneshot =
       (fun m ~cpu ?preemption_timer ?analyze ?retry ?tpm_cap pal ~input ->
         drive_oneshot sfi_launch m ~cpu ?preemption_timer ?analyze ?retry

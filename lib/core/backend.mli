@@ -18,12 +18,11 @@
     - {!field-t.launch}: host a PAL as a resident {!instance} whose
       uniform operations ([run_slice]/[resume]/[yield via run_slice]/
       [kill]/[release]/[save_state]/[load_state]/[quote]) close over the
-      backend-specific session;
-    - a per-operation virtual-time cost hook ({!field-t.extra_cost}):
-      what the backend layer itself charges on top of the hardware
-      simulation. Zero for both hardware backends — their costs come out
-      of the simulated TPM, bus and instruction timings — and the SFI
-      timing profile's values for {!Sfi}. *)
+      backend-specific session.
+
+    The backend layer charges no time of its own: the hardware backends'
+    costs come out of the simulated TPM, bus and instruction timings, and
+    SFI's out of {!Sfi_session.default_profile}. *)
 
 type kind = Current | Proposed | Sfi
 
@@ -38,15 +37,6 @@ val cli_name : kind -> string
 val of_cli_name : string -> kind option
 (** Inverse of {!cli_name} (case-insensitive); [None] for unknown
     names — callers print the known list and exit rather than guessing. *)
-
-type op =
-  | Op_launch
-  | Op_resume
-  | Op_yield
-  | Op_release
-  | Op_quote
-  | Op_seal
-  | Op_unseal
 
 (** A resident PAL, uniformly drivable whatever hosts it. *)
 type instance = {
@@ -77,16 +67,11 @@ type instance = {
 
 type t = {
   kind : kind;
-  name : string;  (** = [kind_name kind]; what reports render. *)
-  resident : bool;
-      (** Whether PALs stay hosted between requests. [false] only for
-          {!Current}: each request is a fresh full session. *)
   check_machine : Sea_hw.Machine.t -> (unit, string) result;
   pool : Sea_hw.Machine.t -> int;
       (** Max simultaneous residents: the machine's sePCR count on
           proposed hardware, [max_int] under SFI (no scarce hardware
           resource), [0] for the non-resident backend. *)
-  extra_cost : op -> Sea_sim.Time.t;
   oneshot :
     Sea_hw.Machine.t ->
     cpu:int ->

@@ -25,15 +25,19 @@ let shared_behavior ~secret_size ~reseal services input =
         if reseal then services.Pal.seal updated else Ok (Sha1.digest secret)
   end
 
-let make ~code_size ~secret_size ~reseal ~compute_time =
-  (* One name + size = one measurement for both entry points. *)
-  Pal.create ~name:"generic-gen-use" ~code_size ?compute_time
-    (shared_behavior ~secret_size ~reseal)
+(* One name + size = one measurement for both entry points. *)
+let name = "generic-gen-use"
+let code_size = 64 * 1024
+let default_secret_size = 256
 
-let pal_gen ?(code_size = 64 * 1024) ?(secret_size = 256) () =
-  make ~code_size ~secret_size ~reseal:false ~compute_time:None
+let pal_gen ?(code_size = code_size) ?(secret_size = default_secret_size)
+    () =
+  Pal.create ~name ~code_size (shared_behavior ~secret_size ~reseal:false)
 
-let pal_use ?(code_size = 64 * 1024) ?(reseal = true) ?compute_time () =
-  make ~code_size ~secret_size:256 ~reseal ~compute_time
+let pal_use ?(code_size = code_size) ?(reseal = true) ?compute_time () =
+  Pal.create ~name ~code_size ?compute_time
+    (shared_behavior ~secret_size:default_secret_size ~reseal)
 
-let secret_of_use_output secret = Sha1.digest secret
+let use_of_code ~compute_time code =
+  Pal.of_code ~name ~code ~compute_time
+    (shared_behavior ~secret_size:default_secret_size ~reseal:true)

@@ -25,5 +25,10 @@ val pal_use :
     distributed-computing pattern), else the SHA-1 of the secret (the
     signing-CA pattern, where the unsealed key is simply erased). *)
 
-val secret_of_use_output : string -> string
-(** For tests: the digest a non-resealing {!pal_use} returns. *)
+val code_size : int
+(** The default image size of {!pal_gen} and {!pal_use}: 64 KB, all
+    that SKINIT measures. *)
+
+val use_of_code : compute_time:Sea_sim.Time.t -> string -> Pal.t
+(** A resealing {!pal_use} whose measured bytes are [code] instead of
+    synthetic filler. *)

@@ -28,5 +28,4 @@ val step : state -> event -> (state, string) result
 
 val is_terminal : state -> bool
 val to_string : state -> string
-val event_to_string : event -> string
 val pp : Format.formatter -> state -> unit

@@ -241,8 +241,6 @@ let rem_int a d =
 let div a b = fst (divmod a b)
 let rem a b = snd (divmod a b)
 
-let mod_add a b ~m = rem (add a b) m
-
 let mod_sub a b ~m =
   let a = rem a m and b = rem b m in
   if compare a b >= 0 then sub a b else sub (add a m) b

@@ -72,7 +72,6 @@ val rem_int : t -> int -> int
 val div : t -> t -> t
 val rem : t -> t -> t
 
-val mod_add : t -> t -> m:t -> t
 val mod_sub : t -> t -> m:t -> t
 val mod_mul : t -> t -> m:t -> t
 

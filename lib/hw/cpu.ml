@@ -3,8 +3,3 @@ type status = Idle | Legacy | In_pal of int
 type t = { id : int; mutable status : status; mutable interrupts_enabled : bool }
 
 let create ~id = { id; status = Legacy; interrupts_enabled = true }
-
-let pp_status fmt = function
-  | Idle -> Format.pp_print_string fmt "idle"
-  | Legacy -> Format.pp_print_string fmt "legacy"
-  | In_pal id -> Format.fprintf fmt "PAL(secb %d)" id

@@ -18,5 +18,3 @@ type t = {
 
 val create : id:int -> t
 (** Fresh core, [Legacy] with interrupts enabled. *)
-
-val pp_status : Format.formatter -> status -> unit

@@ -50,17 +50,11 @@ val skinit :
     over the LPC bus, which is where the time goes. Returns the TPM's
     digest and PCR 17, or the CPU's digest and [None] without a TPM. *)
 
-val skinit_max_bytes : int
-(** 64 KB — the DEV-covered SLB limit. *)
-
 val senter :
   Machine.t -> cpu:int -> pages:int list -> length:int -> (string * string option, string) result
 (** Intel late launch: the chipset-verified ACMod is streamed to the TPM
     and extended into PCR 17; the ACMod then hashes the PAL on the main
     CPU and extends it into PCR 18 (§2.2.2). Returns the PAL hash and PCR 18. *)
-
-val senter_max_bytes : int
-(** 512 KB — the default MPT coverage. *)
 
 val late_launch :
   Machine.t -> cpu:int -> pages:int list -> length:int -> (string * string option, string) result

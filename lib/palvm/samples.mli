@@ -19,9 +19,6 @@ val random_nonce : string
 (** Generates 16 random bytes, seals them, outputs only the sealed
     blob — the raw nonce never leaves the PAL. *)
 
-val hash_input : string
-(** Outputs SHA-256 of the input. *)
-
 val all : (string * string) list
 (** [(name, image)] for every sample above. *)
 

@@ -94,7 +94,7 @@ let pp_row t fmt row =
    hardware TPM, so non-vTPM reports render exactly as before it existed.
    Only batch-size-invariant counters appear here: flush and
    batch-occupancy counts live in the trace ("vtpm" category), keeping
-   the render byte-identical across [--vtpm-batch] settings. The
+   the render byte-identical for any anchor batch size. The
    cost-admission line appears only under the cost discipline, so
    fifo/weighted reports render exactly as before it existed. *)
 let pp_vtpm_and_cost fmt (vtpm, cost_budget, cost_shed) =

@@ -29,7 +29,7 @@ type vtpm_stats = {
   resets : int;  (** Quarantined vTPMs healed back into service. *)
 }
 (** Batch-size-invariant vTPM counters: anchor flush/batch-occupancy
-    counts depend on the [--vtpm-batch] pipeline setting and live in the
+    counts depend on the anchor pipeline's batching and live in the
     trace ("vtpm" category) instead, so a report renders byte-identically
     for any batch size. *)
 

@@ -19,15 +19,12 @@ type config = {
   analyze : Sea_analysis.Analyzer.gate;
   preemption_timer : Time.t;
   faults : Sea_fault.Fault.spec option;
-  retry : Sea_fault.Retry.policy option;
-  breaker : Breaker.config option;
   vtpm : int option;
-  vtpm_batch : int;
 }
 
 let config ?(queue_depth = 16) ?(discipline = Admission.Fifo)
     ?(analyze = Sea_analysis.Analyzer.Off) ?(preemption_timer = Time.ms 10.)
-    ?faults ?retry ?breaker ?vtpm ?(vtpm_batch = 16) ~mode ~duration () =
+    ?faults ?vtpm ~mode ~duration () =
   if Time.compare duration Time.zero <= 0 then
     invalid_arg "Server.config: duration must be positive";
   if queue_depth <= 0 then
@@ -38,10 +35,8 @@ let config ?(queue_depth = 16) ?(discipline = Admission.Fifo)
   | Some k when k <= 0 ->
       invalid_arg "Server.config: vtpm instances must be positive"
   | _ -> ());
-  if vtpm_batch <= 0 then
-    invalid_arg "Server.config: vtpm batch must be positive";
   { mode; duration; queue_depth; discipline; analyze; preemption_timer;
-    faults; retry; breaker; vtpm; vtpm_batch }
+    faults; vtpm }
 
 (* One queued request. [client] is the closed-loop client slot that will
    reissue once this request is answered ([None] for open-loop). *)
@@ -120,17 +115,13 @@ let create (m : Machine.t) cfg tenant_list =
   let* () = backend.Backend.check_machine m in
   let nkinds = List.length Workload.kinds in
   let key tenant kind = (tenant * nkinds) + Workload.kind_index kind in
-  (* The retry policy is resolved before provisioning so the vTPM layer's
+  (* The retry policy is made before provisioning so the vTPM layer's
      hardware legs (checkpoints, anchor quotes) share it; building the
      plan touches neither the engine clock nor its generator (it splits
      its own seeded stream), and it is only {e installed} after
      bootstrap, below. *)
   let plan = Option.map Sea_fault.Fault.of_spec cfg.faults in
-  let retry =
-    match cfg.retry with
-    | Some _ as r -> r
-    | None -> Option.map (fun _ -> Sea_fault.Retry.policy ()) plan
-  in
+  let retry = Option.map (fun _ -> Sea_fault.Retry.policy ()) plan in
   (* --- vTPM multiplexer: provisioned before bootstrap (provisioning is
      part of machine setup, like bootstrap itself) so every session in
      the run — bootstrap included — executes against its tenant's
@@ -138,13 +129,9 @@ let create (m : Machine.t) cfg tenant_list =
   let* vtpm =
     match cfg.vtpm with
     | None -> Ok None
-    | Some count -> (
-        match
-          Sea_vtpm.Vtpm.create ~batch:cfg.vtpm_batch ?retry ~tpm
-            ~instances:count ()
-        with
-        | Ok v -> Ok (Some v)
-        | Error e -> Error e)
+    | Some count ->
+        Result.map Option.some
+          (Sea_vtpm.Vtpm.create ?retry ~tpm ~instances:count ())
   in
   let cap_for tenant =
     Option.map (fun v -> Sea_vtpm.Vtpm.cap v ~tenant) vtpm
@@ -201,7 +188,7 @@ let create (m : Machine.t) cfg tenant_list =
      bootstrap (bootstrap models provisioning, not the serving window)
      and draws from its own seeded stream, so the tenant streams split
      below are unperturbed: a rate-0 or no-fault run replays the exact
-     pre-fault-machinery timeline. Retry and breakers default on
+     pre-fault-machinery timeline. Retry and breakers are on
      whenever faults are injected. --- *)
   Tpm.set_faults tpm plan;
   let retries0 =
@@ -215,12 +202,7 @@ let create (m : Machine.t) cfg tenant_list =
   let finish_line = Time.add base cfg.duration in
   let clock = ref base in
   let events : ev Event_queue.t = Event_queue.create () in
-  let breaker_cfg =
-    match (cfg.breaker, plan) with
-    | Some bc, _ -> Some bc
-    | None, Some _ -> Some (Breaker.config ())
-    | None, None -> None
-  in
+  let breaker_cfg = Option.map (fun _ -> Breaker.config ()) plan in
   let queue : req Admission.t =
     Admission.create ~discipline:cfg.discipline ~depth:cfg.queue_depth
       ~weights:[||]

@@ -56,13 +56,10 @@ type config = {
   preemption_timer : Sea_sim.Time.t;  (** Slice budget ([Proposed]). *)
   faults : Sea_fault.Fault.spec option;
       (** Deterministic fault plan injected at the TPM/LPC boundary for
-          the serving window (installed after bootstrap). *)
-  retry : Sea_fault.Retry.policy option;
-      (** Retry policy around the hardware path; defaults to
-          [Sea_fault.Retry.policy ()] whenever [faults] is set. *)
-  breaker : Breaker.config option;
-      (** Per-(tenant, kind) circuit breakers; default on (with
-          {!Breaker.config} defaults) whenever [faults] is set. *)
+          the serving window (installed after bootstrap). Setting it also
+          turns on the [Sea_fault.Retry.policy ()] retry policy around
+          the hardware path and per-(tenant, kind) circuit breakers with
+          {!Breaker.config} defaults. *)
   vtpm : int option;
       (** Multiplex this many virtual TPMs over the machine's hardware
           TPM ([Sea_vtpm]); every session — bootstrap included — then
@@ -70,12 +67,7 @@ type config = {
           instance [i mod vtpm]), with the hardware part serving only as
           the integrity anchor. [None] (default): sessions talk to the
           hardware TPM directly, byte-for-byte the historical
-          behaviour. *)
-  vtpm_batch : int;
-      (** Anchor-pipeline batch size (pending state-change records per
-          hardware anchor flush; default 16). Affects only the anchor
-          pipeline's background lag: reports are byte-identical across
-          batch sizes. *)
+          behaviour. The anchor pipeline flushes in batches of 16. *)
 }
 
 val config :
@@ -84,17 +76,14 @@ val config :
   ?analyze:Sea_analysis.Analyzer.gate ->
   ?preemption_timer:Sea_sim.Time.t ->
   ?faults:Sea_fault.Fault.spec ->
-  ?retry:Sea_fault.Retry.policy ->
-  ?breaker:Breaker.config ->
   ?vtpm:int ->
-  ?vtpm_batch:int ->
   mode:mode ->
   duration:Sea_sim.Time.t ->
   unit ->
   config
 (** Defaults: depth 16, FIFO, analysis gate [Off], 10 ms preemption
-    timer, no faults, no vTPM layer, vTPM batch 16. Raises
-    [Invalid_argument] on non-positive values. *)
+    timer, no faults, no vTPM layer. Raises [Invalid_argument] on
+    non-positive values. *)
 
 (** {1 Lifecycle}
 

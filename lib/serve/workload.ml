@@ -75,28 +75,25 @@ let bytecode k =
             (* 168 *) Mov (1, 0); Loadi (0, 16384); Svc Isa.svc_output; Halt;
           ]
 
-let with_bytecode k p =
-  Pal.of_code ~name:p.Pal.name
-    ~code:(pad_to (String.length p.Pal.code) (bytecode k))
-    ~compute_time:p.Pal.compute_time p.Pal.behavior
-
 (* One shared Pal.t per kind: every invocation of a kind must carry the
    same measurement, or sealed state created by one request would refuse
-   to unseal in the next. *)
-let ssh_pal = lazy (with_bytecode Ssh_auth (Sea_apps.Ssh_password.pal ()))
-let ca_pal = lazy (with_bytecode Ca_sign (Sea_apps.Cert_authority.pal ()))
+   to unseal in the next. Each app module supplies its name, image size,
+   work and behaviour; only the code is the kind's bytecode. *)
+let build k =
+  let code size = pad_to size (bytecode k) in
+  match k with
+  | Ssh_auth ->
+      Sea_apps.Ssh_password.of_code (code Sea_apps.Ssh_password.code_size)
+  | Ca_sign ->
+      Sea_apps.Cert_authority.of_code (code Sea_apps.Cert_authority.code_size)
+  | Kv_update ->
+      (* The paper's resealing PAL Use at the full 64 KB SKINIT allows —
+         the distributed-computing pattern, and the heaviest launch in
+         the mix. *)
+      Generic.use_of_code ~compute_time:(Time.ms 5.) (code Generic.code_size)
 
-let kv_pal =
-  (* The paper's resealing PAL Use at the full 64 KB SKINIT allows — the
-     distributed-computing pattern, and the heaviest launch in the mix. *)
-  lazy
-    (with_bytecode Kv_update
-       (Generic.pal_use ~reseal:true ~compute_time:(Time.ms 5.) ()))
-
-let pal = function
-  | Ssh_auth -> Lazy.force ssh_pal
-  | Ca_sign -> Lazy.force ca_pal
-  | Kv_update -> Lazy.force kv_pal
+let pals = Array.of_list (List.map (fun k -> lazy (build k)) kinds)
+let pal k = Lazy.force pals.(kind_index k)
 
 let work k = (pal k).Pal.compute_time
 

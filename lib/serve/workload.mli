@@ -95,9 +95,6 @@ type shape =
       (** Flash crowd: a step to [spike ×] the base rate on
           [\[at, at + width)]. Requires [width > 0] and [spike > 0]. *)
 
-val shape_multiplier : shape -> Sea_sim.Time.t -> float
-(** The rate multiplier at a virtual instant. Pure. *)
-
 val shape_instants : duration:Sea_sim.Time.t -> shape -> Sea_sim.Time.t list
 (** Where a cluster steps the rate inside [\[0, duration)]: a flash
     crowd's onset and end, reproduced exactly rather than smeared, or a

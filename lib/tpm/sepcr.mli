@@ -66,6 +66,3 @@ val skill : bank -> handle -> (unit, string) result
 
 val finish_quote : bank -> handle -> (unit, string) result
 (** After a successful quote: [Quote] → [Free] (TPM_SEPCR_Free). *)
-
-val skill_constant : string
-(** The well-known 20-byte constant SKILL extends before freeing. *)

@@ -341,11 +341,11 @@ let sepcr_access t ~caller h =
       | Ok v -> Ok (bank, v)
       | Error e -> Error e)
 
-let max_seal_payload _t = 64 * 1024
+let max_seal_payload = 64 * 1024
 
 let seal t ~caller ?sepcr ~pcr_policy payload =
   traced t "seal" @@ fun () ->
-  if String.length payload > max_seal_payload t then Error "payload too large"
+  if String.length payload > max_seal_payload then Error "payload too large"
   else begin
     let sepcr_binding =
       match sepcr with
@@ -358,34 +358,17 @@ let seal t ~caller ?sepcr ~pcr_policy payload =
     match sepcr_binding with
     | Error e -> Error e
     | Ok binding -> (
-      match inject t Seal_fail "TPM_Seal blob write failed" with
-      | Some e ->
-          charge t
-            (Timing.seal_time t.profile ~payload_bytes:(String.length payload));
-          Error e
-      | None ->
+        let fault = inject t Seal_fail "TPM_Seal blob write failed" in
         charge t
           (Timing.seal_time t.profile ~payload_bytes:(String.length payload));
-        (* Serialize policy + payload, hybrid-encrypt under the SRK. *)
-        let enc = Wire.encoder () in
-        Wire.add_string enc blob_magic;
-        Wire.add_list enc
-          (fun (i, v) ->
-            Wire.add_int enc i;
-            Wire.add_string enc v)
-          pcr_policy;
-        Wire.add_string enc (match binding with None -> "" | Some v -> v);
-        Wire.add_string enc payload;
-        let plaintext = Wire.contents enc in
-        let sym_key = Drbg.generate_string t.drbg Aead.key_size in
-        let nonce = Drbg.generate_string t.drbg Aead.nonce_size in
-        let wrapped = Rsa.encrypt t.srk.Rsa.pub t.drbg sym_key in
-        let body = Aead.encrypt ~key:sym_key ~nonce plaintext in
-        let out = Wire.encoder () in
-        Wire.add_string out wrapped;
-        Wire.add_string out nonce;
-        Wire.add_string out body;
-        Ok (Wire.contents out))
+        match fault with
+        | Some e -> Error e
+        | None ->
+            (* Serialize policy + payload, hybrid-encrypt under the SRK. *)
+            Ok
+              (Sealed_blob.encode ~magic:blob_magic t.srk.Rsa.pub t.drbg
+                 ~pcr_policy ~binding:(Option.value binding ~default:"")
+                 payload))
   end
 
 let unseal t ~caller ?sepcr blob =
@@ -405,46 +388,25 @@ let unseal t ~caller ?sepcr blob =
       match inject t Tpm_busy "TPM_Unseal busy" with
       | Some e -> Error e
       | None -> (
-      let d = Wire.decoder blob in
-      match (Wire.read_string d, Wire.read_string d, Wire.read_string d) with
-      | Some wrapped, Some nonce, Some body -> (
-          match Rsa.decrypt t.srk wrapped with
-          | None -> Error "not sealed by this TPM"
-          | Some sym_key when String.length sym_key <> Aead.key_size ->
-              Error "corrupted blob"
-          | Some sym_key -> (
-              match Aead.decrypt ~key:sym_key ~nonce body with
-              | None -> Error "blob integrity check failed"
-              | Some plaintext -> (
-                  let d = Wire.decoder plaintext in
-                  match Wire.read_string d with
-                  | Some magic when magic = blob_magic -> (
-                      let policy =
-                        Wire.read_list d (fun () ->
-                            match (Wire.read_int d, Wire.read_string d) with
-                            | Some i, Some v -> Some (i, v)
-                            | _ -> None)
-                      in
-                      match (policy, Wire.read_string d, Wire.read_string d) with
-                      | Some policy, Some bound_sepcr, Some payload ->
-                          let pcr_ok =
-                            List.for_all
-                              (fun (i, v) ->
-                                i >= 0 && i < Pcr.count && Pcr.read t.pcrs i = v)
-                              policy
-                          in
-                          let sepcr_ok =
-                            match (bound_sepcr, current_sepcr) with
-                            | "", _ -> true
-                            | required, Some current -> String.equal required current
-                            | _, None -> false
-                          in
-                          if not pcr_ok then Error "PCR policy mismatch"
-                          else if not sepcr_ok then Error "sePCR binding mismatch"
-                          else Ok payload
-                      | _ -> Error "corrupted blob")
-                  | _ -> Error "corrupted blob")))
-      | _ -> Error "corrupted blob"))
+          match Sealed_blob.decode ~magic:blob_magic t.srk blob with
+          | Error `Foreign -> Error "not sealed by this TPM"
+          | Error (`Bad e) -> Error e
+          | Ok { Sealed_blob.pcr_policy; binding; payload } ->
+              let pcr_ok =
+                List.for_all
+                  (fun (i, v) ->
+                    i >= 0 && i < Pcr.count && Pcr.read t.pcrs i = v)
+                  pcr_policy
+              in
+              let sepcr_ok =
+                match (binding, current_sepcr) with
+                | "", _ -> true
+                | required, Some current -> String.equal required current
+                | _, None -> false
+              in
+              if not pcr_ok then Error "PCR policy mismatch"
+              else if not sepcr_ok then Error "sePCR binding mismatch"
+              else Ok payload))
 
 (* --- Attestation --- *)
 

@@ -126,8 +126,6 @@ val unseal :
 (** Policy-checked decryption; errors on wrong TPM, corrupted blob, or
     policy mismatch (with distinct messages). *)
 
-val max_seal_payload : t -> int
-
 (** {1 Attestation} *)
 
 type quote = {

@@ -41,9 +41,6 @@ val tpm_execute : Tpm.t -> t -> string -> (string, string) result
     the usual timing charges), and return the wire response. Errors on
     tampering, replay, or reordering. *)
 
-val open_response : t -> string -> (response, string) result
-(** Client side: authenticate + decrypt the TPM's wire response. *)
-
 val execute :
   ?retry:Sea_fault.Retry.policy -> Tpm.t -> t -> request -> (response, string) result
 (** [seal_request] → [tpm_execute] → [open_response] in one step, for

@@ -46,7 +46,6 @@ let create () =
 let current : sink option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
 
-let install s = Domain.DLS.set current (Some s)
 let uninstall () = Domain.DLS.set current None
 let installed () = Domain.DLS.get current
 let on () = Option.is_some (Domain.DLS.get current)

@@ -27,10 +27,6 @@ type sink
 val create : unit -> sink
 (** A fresh, empty sink. Creating one does not install it. *)
 
-val install : sink -> unit
-(** Make [sink] the calling domain's trace destination. Replaces any
-    sink previously installed in this domain. *)
-
 val uninstall : unit -> unit
 (** Remove the calling domain's installed sink, if any; tracing reverts
     to free. *)

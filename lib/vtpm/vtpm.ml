@@ -4,6 +4,7 @@ module Tpm = Sea_tpm.Tpm
 module Timing = Sea_tpm.Timing
 module Pcr = Sea_tpm.Pcr
 module Event_log = Sea_tpm.Event_log
+module Sealed_blob = Sea_tpm.Sealed_blob
 module Cap = Sea_tpm.Cap
 module Lpc = Sea_bus.Lpc
 module Fault = Sea_fault.Fault
@@ -65,7 +66,6 @@ and mux = {
   mutable busy_until : Time.t;  (* the anchor pipeline's own timeline *)
   mutable anchor_time : Time.t;
   mutable flushes : int;
-  mutable records_flushed : int;
   mutable anchor_retries : int;
   mutable seals : int;
   mutable unseals : int;
@@ -91,12 +91,9 @@ let for_tenant m ~tenant =
 let index inst = inst.idx
 let broken inst = inst.broken
 let pcr_value inst i = Pcr.read inst.pcrs i
-let state_digest inst = inst.digest
-let event_log inst = inst.log
 let key_public inst = inst.key.Rsa.pub
 let anchor_value m = m.anchor_value
 let flushes m = m.flushes
-let records_flushed m = m.records_flushed
 let anchor_retries m = m.anchor_retries
 let anchor_time m = m.anchor_time
 
@@ -185,7 +182,6 @@ let flush m =
     m.busy_until <- Time.add start cost;
     m.anchor_time <- Time.add m.anchor_time cost;
     m.flushes <- m.flushes + 1;
-    m.records_flushed <- m.records_flushed + n;
     Trace.instant m.engine ~cat:"vtpm"
       ~args:(fun () ->
         [
@@ -254,26 +250,12 @@ let seal inst ?binding ~pcr_policy payload =
     charge m
       (Timing.seal_time software_profile
          ~payload_bytes:(String.length payload));
-    let enc = Wire.encoder () in
-    Wire.add_string enc blob_magic;
-    Wire.add_list enc
-      (fun (i, v) ->
-        Wire.add_int enc i;
-        Wire.add_string enc v)
-      pcr_policy;
-    Wire.add_string enc (match binding with None -> "" | Some b -> b);
-    Wire.add_string enc payload;
-    let plaintext = Wire.contents enc in
-    let sym_key = Drbg.generate_string inst.drbg Aead.key_size in
-    let nonce = Drbg.generate_string inst.drbg Aead.nonce_size in
-    let wrapped = Rsa.encrypt inst.key.Rsa.pub inst.drbg sym_key in
-    let body = Aead.encrypt ~key:sym_key ~nonce plaintext in
-    let out = Wire.encoder () in
-    Wire.add_string out wrapped;
-    Wire.add_string out nonce;
-    Wire.add_string out body;
+    let blob =
+      Sealed_blob.encode ~magic:blob_magic inst.key.Rsa.pub inst.drbg
+        ~pcr_policy ~binding:(Option.value binding ~default:"") payload
+    in
     m.seals <- m.seals + 1;
-    Ok (Wire.contents out)
+    Ok blob
   end
 
 let unseal inst ?binding blob =
@@ -284,52 +266,23 @@ let unseal inst ?binding blob =
     charge m
       (Timing.unseal_time software_profile
          ~payload_bytes:(String.length blob));
-    let d = Wire.decoder blob in
-    match (Wire.read_string d, Wire.read_string d, Wire.read_string d) with
-    | Some wrapped, Some nonce, Some body -> (
-        match Rsa.decrypt inst.key wrapped with
-        | None -> Error "not sealed by this vTPM"
-        | Some sym_key when String.length sym_key <> Aead.key_size ->
-            Error "corrupted blob"
-        | Some sym_key -> (
-            match Aead.decrypt ~key:sym_key ~nonce body with
-            | None -> Error "blob integrity check failed"
-            | Some plaintext -> (
-                let d = Wire.decoder plaintext in
-                match Wire.read_string d with
-                | Some magic when magic = blob_magic -> (
-                    let policy =
-                      Wire.read_list d (fun () ->
-                          match (Wire.read_int d, Wire.read_string d) with
-                          | Some i, Some v -> Some (i, v)
-                          | _ -> None)
-                    in
-                    match
-                      (policy, Wire.read_string d, Wire.read_string d)
-                    with
-                    | Some policy, Some bound, Some payload ->
-                        let pcr_ok =
-                          List.for_all
-                            (fun (i, v) ->
-                              i >= 0 && i < Pcr.count
-                              && Pcr.read inst.pcrs i = v)
-                            policy
-                        in
-                        let binding_ok =
-                          bound
-                          = (match binding with None -> "" | Some b -> b)
-                        in
-                        if not pcr_ok then Error "vPCR policy mismatch"
-                        else if not binding_ok then
-                          Error "binding mismatch"
-                        else begin
-                          m.unseals <- m.unseals + 1;
-                          Ok payload
-                        end
-                    | _ -> Error "corrupted blob"
-                  )
-                | _ -> Error "corrupted blob")))
-    | _ -> Error "corrupted blob"
+    match Sealed_blob.decode ~magic:blob_magic inst.key blob with
+    | Error `Foreign -> Error "not sealed by this vTPM"
+    | Error (`Bad e) -> Error e
+    | Ok { Sealed_blob.pcr_policy; binding = bound; payload } ->
+        let pcr_ok =
+          List.for_all
+            (fun (i, v) ->
+              i >= 0 && i < Pcr.count && Pcr.read inst.pcrs i = v)
+            pcr_policy
+        in
+        if not pcr_ok then Error "vPCR policy mismatch"
+        else if bound <> Option.value binding ~default:"" then
+          Error "binding mismatch"
+        else begin
+          m.unseals <- m.unseals + 1;
+          Ok payload
+        end
   end
 
 let get_random inst n =
@@ -515,7 +468,6 @@ let create ?(anchor_pcr = 23) ?(batch = 16) ?(key_bits = 512) ?retry ~tpm
         busy_until = Time.zero;
         anchor_time = Time.zero;
         flushes = 0;
-        records_flushed = 0;
         anchor_retries = 0;
         seals = 0;
         unseals = 0;

@@ -50,12 +50,6 @@ type t
 type instance
 (** A handle to one virtual TPM. *)
 
-val software_profile : Sea_tpm.Timing.profile
-(** Latency means for vTPM commands executed by the CPU (µs-class SHA-1
-    / AEAD / DRBG work, against the TPM's ms-class hardware commands).
-    Charged as means — no jitter draw, see the stream-isolation note
-    above. *)
-
 val create :
   ?anchor_pcr:int ->
   ?batch:int ->
@@ -99,8 +93,8 @@ val index : instance -> int
 
 (** {1 Virtual TPM commands}
 
-    All software-speed: they advance the engine by the (unjittered)
-    {!software_profile} mean and never touch the LPC bus. State-changing
+    All software-speed: they advance the engine by an unjittered
+    µs-class mean and never touch the LPC bus. State-changing
     commands additionally enqueue an anchor record. A broken (see
     {!broken}) instance refuses seal/unseal/extend/quote with a
     permanent error until {!heal}ed. *)
@@ -138,11 +132,7 @@ val get_random : instance -> int -> string
     source entropy) and never touches the anchor. *)
 
 val pcr_value : instance -> int -> string
-val state_digest : instance -> string
-(** The rolling digest chaining every state change of this instance;
-    what anchor records and checkpoints commit to. *)
 
-val event_log : instance -> Sea_tpm.Event_log.t
 val key_public : instance -> Sea_crypto.Rsa.public
 
 (** {1 Quarantine and repair} *)
@@ -228,8 +218,6 @@ val counters : t -> counters
 
 val flushes : t -> int
 (** Anchor batches flushed to hardware. *)
-
-val records_flushed : t -> int
 
 val anchor_retries : t -> int
 (** Background anchor-extend attempts burned on injected busy faults. *)

@@ -56,20 +56,6 @@ let test_backend_of_kind () =
   List.iter
     (fun kind -> checkb "of_kind roundtrip" true ((Backend.of_kind kind).Backend.kind = kind))
     Backend.all;
-  checkb "current is not resident" false Backend.current.Backend.resident;
-  checkb "proposed is resident" true Backend.proposed.Backend.resident;
-  checkb "sfi is resident" true Backend.sfi.Backend.resident;
-  (* Hardware backends charge nothing themselves: their costs come out of
-     the simulated TPM/bus/instruction timings. *)
-  List.iter
-    (fun op ->
-      checkb "hw extra_cost zero" true
-        (Time.compare (Backend.current.Backend.extra_cost op) Time.zero = 0
-        && Time.compare (Backend.proposed.Backend.extra_cost op) Time.zero = 0))
-    [ Backend.Op_launch; Backend.Op_resume; Backend.Op_yield;
-      Backend.Op_release; Backend.Op_quote; Backend.Op_seal; Backend.Op_unseal ];
-  checkb "sfi transitions cost time" true
-    (Time.compare (Backend.sfi.Backend.extra_cost Backend.Op_resume) Time.zero > 0);
   checkb "sfi pool unbounded" true
     (Backend.sfi.Backend.pool (dc5750 ()) = max_int);
   checkb "current hosts no residents" true

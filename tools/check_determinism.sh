@@ -9,7 +9,7 @@
 # wall time), gated at SEA_MIN_SPEEDUP (default 2.0; set 0 to skip on
 # oversubscribed machines).
 #
-# Usage: tools/check_determinism.sh [all|shards|cost|vtpm|churn|autoscale|observe]
+# Usage: tools/check_determinism.sh [all|shards|cost|vtpm|churn|autoscale|observe|compose]
 #
 # Run it from anywhere; it cds to the repo root. In CI wrap it with
 # `opam exec --`. Report files are left as fleet-*.txt in the repo root
@@ -22,9 +22,9 @@ cli=_build/default/bin/sea_cli.exe
 
 filter="${1:-all}"
 case "$filter" in
-  all|shards|cost|vtpm|churn|autoscale|observe) ;;
+  all|shards|cost|vtpm|churn|autoscale|observe|compose) ;;
   *)
-    echo "usage: $0 [all|shards|cost|vtpm|churn|autoscale|observe]" >&2
+    echo "usage: $0 [all|shards|cost|vtpm|churn|autoscale|observe|compose]" >&2
     exit 2
     ;;
 esac
@@ -78,9 +78,8 @@ if want cost; then
   echo "cost-aware fleet report byte-identical across shard counts"
 fi
 
-# vTPM multiplexing on both hardware modes (batch pipelining is
-# background-only, so neither the shard count nor the batch size may
-# show in the render).
+# vTPM multiplexing on both hardware modes (the anchor pipeline runs in
+# the background, so the shard count must not show in the render).
 if want vtpm; then
   for mode in current proposed; do
     case "$mode" in
@@ -167,6 +166,30 @@ if want observe; then
     diff "fleet-observe-$mode-s1.txt" "fleet-observe-$mode-s4.txt"
     echo "$mode: observe-only controller leaves the fleet report unchanged" \
          "(shards 1 = 4)"
+  done
+fi
+
+# Every fleet feature at once: churn with failover, migrate autoscaling
+# under a flash crowd, vTPM multiplexing and fault injection (plus lossy
+# links and cost admission on the proposed hardware) — the runs pinned
+# as cluster_composed_*.txt in test/golden.
+if want compose; then
+  for mode in proposed current; do
+    case "$mode" in
+      proposed) flags="--rate 48 --link-loss 0.1 --admission cost" ;;
+      current)  flags="--rate 6" ;;
+    esac
+    for shards in 1 4; do
+      "$cli" cluster --mode "$mode" --machines 4 --shards "$shards" \
+        --policy hash --seed 7 --duration 3 --mttf 3 --mttr 1 \
+        --autoscale migrate --shape flash --vtpm 2 --fault-rate 0.02 $flags \
+        >"fleet-compose-$mode-s$shards.txt" 2>/dev/null
+    done
+    diff "fleet-compose-$mode-s1.txt" "fleet-compose-$mode-s4.txt"
+    for line in '^churn:' '^failover:' '^autoscale:' '^vtpm:' '^faults injected:'; do
+      grep -q "$line" "fleet-compose-$mode-s1.txt"
+    done
+    echo "$mode: composed fleet report byte-identical across shard counts"
   done
 fi
 
